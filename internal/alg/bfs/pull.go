@@ -232,13 +232,15 @@ func (k *Kernel) RunCASLTHybridExec(e machine.Exec) Result {
 	muInit := uint64(k.g.NumArcs()) - mfInit
 	var depth uint32
 	k.trace = exec.Run(k.m, e, func(ctx exec.Ctx) {
+		fl := k.newFrontierLevel(ctx)
 		mf, mu := mfInit, muInit
 		pull := false
-		L := uint32(0)
 		for {
+			L := fl.L
 			pull = NextDirection(pull, mf, mu, uint64(len(k.frontier)), uint64(k.n))
-			round := k.base + L + 1
+			fl.round = k.base + L + 1
 			frontier := k.frontier
+			fl.frontier = frontier
 			if pull {
 				onFound := func(w int) func(u uint32) {
 					return func(u uint32) {
@@ -263,21 +265,9 @@ func (k *Kernel) RunCASLTHybridExec(e machine.Exec) Result {
 					})
 				}
 			} else {
-				k.relaxFrontier(ctx, frontier, L, round)
+				fl.relaxLevel()
 			}
-			ctx.Single(func() {
-				total := 0
-				var disc uint64
-				for i := 0; i < p; i++ {
-					k.wOff[i] = total
-					total += len(k.bufs[i])
-					disc += k.degSum[i]
-					k.degSum[i] = 0 // re-zero for the next level's counters
-				}
-				k.wOff[p] = total
-				k.discArcs = disc
-				k.frontier, k.next = k.next[:total], frontier[:0]
-			})
+			ctx.Single(fl.assemble)
 			// Single's barrier published the offsets, the swap and discArcs.
 			mu -= k.discArcs
 			mf = k.discArcs
@@ -287,12 +277,8 @@ func (k *Kernel) RunCASLTHybridExec(e machine.Exec) Result {
 				}
 				break
 			}
-			next := k.frontier
-			ctx.ForWorker(p, func(i, _ int) {
-				copy(next[k.wOff[i]:k.wOff[i+1]], k.bufs[i])
-				k.bufs[i] = k.bufs[i][:0]
-			})
-			L++
+			ctx.ForWorker(p, fl.copyBack)
+			fl.L++
 		}
 	})
 	k.base += depth + 1

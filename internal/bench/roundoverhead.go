@@ -12,9 +12,9 @@ import (
 
 // This file measures the fixed cost of one PRAM round under both execution
 // modes — the quantity the team mode exists to reduce. An empty-body round
-// is pure synchronization: the pool path pays two (P+1)-party barrier
-// phases plus a step descriptor per round; the team path pays one P-party
-// team barrier inside a region entered once. Both modes run the identical
+// is pure synchronization: the pool path pays two P-party barrier phases
+// (the caller runs worker 0's share) plus a step descriptor per round; the
+// team path pays one P-party team barrier inside a region entered once. Both modes run the identical
 // SPMD body through exec.Run, so the measured gap is exactly the backend
 // difference the -exec axis selects, including the unified layer's own
 // dispatch cost. The same measurement is available as

@@ -12,9 +12,10 @@
 // backend, dispatched by Run on a machine.Exec value.
 //
 // The body is SPMD code under every backend. Under team it literally runs
-// once per worker; under pool and trace it runs once on the caller, which
-// behaves like the team's worker 0 (Worker() == 0, Single inline, Barrier
-// where team mode would place one). The discipline is therefore the team
+// once per worker, the caller's copy as worker 0; under pool and trace it
+// runs once on the caller, which behaves like the team's worker 0
+// (Worker() == 0, Single inline, Barrier where team mode would place one)
+// and under pool also runs worker 0's share of every loop. The discipline is therefore the team
 // one: control flow feeding a Ctx primitive — loop trip counts, break
 // decisions, round ids — must be computed identically by every worker,
 // from worker-local deterministic state or from shared state read after a
@@ -28,7 +29,7 @@
 //     its own closing barrier, so an explicit Barrier() is a no-op — the
 //     PRAM round boundary the paper requires after a concurrent write is
 //     already paid by the step split. Single runs inline on the caller
-//     while the workers are parked, which is the same serial section.
+//     while workers 1..P-1 are parked, which is the same serial section.
 //   - team: For/Range/Bounds end in one real sense barrier (TeamCtx
 //     semantics), Barrier() is that barrier alone, and Single elects
 //     worker 0 with a closing barrier.

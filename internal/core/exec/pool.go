@@ -8,12 +8,12 @@ import (
 )
 
 // poolCtx drives the machine one fork/join step per loop. The body runs
-// once, on the caller, which plays the role of team worker 0: loops fan
-// out to the pool and join before returning, so every loop boundary is
-// already a PRAM round boundary and Barrier degenerates to a no-op.
-// Serial code between loops — the Single sections of the SPMD form — runs
-// inline while the workers are parked, exactly as today's pool kernels
-// wrote it.
+// once, on the caller, which is worker 0 of every loop: each loop releases
+// workers 1..P-1, runs worker 0's share on the caller and joins them
+// before returning, so every loop boundary is already a PRAM round
+// boundary and Barrier degenerates to a no-op. Serial code between loops —
+// the Single sections of the SPMD form — runs inline while the helpers are
+// parked, exactly as today's pool kernels wrote it.
 //
 // With metrics on, the caller is the coordinator: it wraps every loop in
 // a wall clock (AddRoundTime) and counts NextRound advances. With metrics
@@ -82,8 +82,8 @@ func (c *poolCtx) StealRange(n int, body func(lo, hi, w int)) {
 // barrier. Nothing runs concurrently with the caller between loops.
 func (c *poolCtx) Barrier() {}
 
-// Single runs f inline: between steps the caller is the only goroutine
-// touching kernel state.
+// Single runs f inline: between steps the caller is the only running
+// worker — the helpers are parked — so it alone touches kernel state.
 func (c *poolCtx) Single(f func()) { f() }
 
 func (c *poolCtx) Flag() *Flag { return c.flag }

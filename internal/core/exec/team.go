@@ -16,8 +16,8 @@ import (
 // With metrics on, worker 0 is the region's coordinator: its copy of each
 // loop — which opens and closes at the same barriers as everyone else's —
 // supplies the round wall time, and its NextRound advances supply the
-// round count, so coordinator counters are written by exactly one worker
-// (the region's closing barrier publishes them to the caller).
+// round count, so coordinator counters are written by exactly one worker:
+// the caller itself, which runs worker 0's copy of the region.
 type teamCtx struct {
 	tc    *machine.TeamCtx
 	flag  *Flag

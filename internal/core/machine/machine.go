@@ -12,10 +12,14 @@
 // internal monotone round counter supplies the round ids consumed by the cw
 // package's CAS-LT cells.
 //
-// The pool is persistent: workers are started once and parked on a reusable
-// barrier between rounds, so a round costs two barrier phases rather than P
-// goroutine spawns, mirroring an OpenMP parallel region with an active wait
-// policy (the configuration the paper measures).
+// The pool is persistent and the caller is worker 0: New starts P-1 helper
+// goroutines (workers 1..P-1) parked on a reusable P-party barrier, and
+// every round is a fork/join in which the caller releases the helpers,
+// runs worker 0's share itself, and joins them. A round therefore costs two
+// barrier phases rather than P goroutine spawns, with exactly P goroutines
+// spinning on P workers — an OpenMP parallel region with an active wait
+// policy (the configuration the paper measures), whose encountering thread
+// is thread 0 of the team. A P=1 machine starts no goroutine at all.
 //
 // Two execution modes drive the pool. ParallelFor/ParallelRange run one
 // round per call, re-entering the pool from the caller each time. Team runs
@@ -40,7 +44,8 @@ import (
 
 // Machine is a fixed pool of P workers executing PRAM rounds. Create with
 // New, release with Close. A Machine is driven by one caller goroutine at a
-// time; the rounds themselves run on all P workers.
+// time, which is worker 0 of every round; workers 1..P-1 are pooled
+// goroutines.
 type Machine struct {
 	p       int
 	policy  sched.Policy
@@ -53,20 +58,23 @@ type Machine struct {
 	// the barrier provides the happens-before edge.
 	step stepDesc
 
-	// Team-region state (team.go): the worker-only barrier, the one
-	// pre-allocated cursor shared by all dynamic/guided team loops, the
-	// ticket/ready words of its per-loop reset protocol, and the abort
-	// flag a panicking team body raises.
+	// cur is the one pre-allocated cursor shared by all dynamic/guided
+	// loops, pool rounds and team loops alike. Like steal below it is
+	// reset per loop, never per machine.
+	cur *sched.Cursor
+
+	// Team-region state (team.go): the abortable team barrier, the
+	// ticket/ready words of the per-loop cursor/stealer reset protocol,
+	// and the abort flag a panicking team body raises.
 	teamBar     *teamBarrier
-	teamCur     *sched.Cursor
 	teamTicket  atomic.Uint64
 	teamReady   atomic.Uint64
 	teamAborted atomic.Bool
 
 	// steal is the one pre-allocated work-stealing deque set shared by all
 	// stealing loops (the sched.Stealing policy and ParallelSteal). Like
-	// teamCur it is reset per loop, never per machine: caller-side under
-	// the pool backend, via the team ticket protocol in-region.
+	// cur it is reset per loop, never per machine: caller-side under the
+	// pool backend, via the team ticket protocol in-region.
 	steal *sched.Stealer
 
 	// rec is the live-metrics recorder, nil unless WithMetrics was given.
@@ -200,13 +208,14 @@ func New(p int, opts ...Option) *Machine {
 			m.rec.SetClaimHook(hooks)
 		}
 	}
-	// The caller participates in both barrier phases, so the party is p+1.
-	m.bar = barrier.New(m.barKind, p+1)
+	// The caller is worker 0: it runs its own share of every step, so the
+	// barrier has p parties and only workers 1..p-1 get a goroutine.
+	m.bar = barrier.New(m.barKind, p)
 	m.teamBar = newTeamBarrier(p)
-	m.teamCur = sched.NewCursor(m.policy, 0, p, m.chunk)
+	m.cur = sched.NewCursor(m.policy, 0, p, m.chunk)
 	m.steal = sched.NewStealer(p)
 	m.step.panics = make([]any, p)
-	for w := 0; w < p; w++ {
+	for w := 1; w < p; w++ {
 		go m.worker(w)
 	}
 	return m
@@ -280,7 +289,7 @@ func (m *Machine) Close() {
 	}
 	m.closed = true
 	m.step = stepDesc{quit: true}
-	m.bar.Wait(m.p) // start phase: release workers into the quit branch
+	m.bar.Wait(0) // start phase: release the helpers into the quit branch
 }
 
 // ParallelFor executes one PRAM round: body(i) for every i in [0, n),
@@ -304,15 +313,7 @@ func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 	}
 	// Single worker: run inline; the pool would only add barrier latency.
 	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			runSerial(m.policy, m.chunk, n, body)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		runSerial(m.policy, m.chunk, n, body)
+		m.inline(evtrace.KindRound, func() { m.runSerial(n, body) })
 		return
 	}
 	m.step = stepDesc{
@@ -342,15 +343,7 @@ func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 		return
 	}
 	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(0, n, 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(0, n, 0)
+		m.inline(evtrace.KindRound, func() { body(0, n, 0) })
 		return
 	}
 	m.steal.Reset(n, m.chunk)
@@ -376,15 +369,7 @@ func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
 		return
 	}
 	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(0, n, 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(0, n, 0)
+		m.inline(evtrace.KindRound, func() { body(0, n, 0) })
 		return
 	}
 	m.step = stepDesc{
@@ -414,15 +399,7 @@ func (m *Machine) ParallelBounds(bounds []int, body func(lo, hi, w int)) {
 		return
 	}
 	if m.p == 1 {
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRound, m.nextSeq())
-			t0 := time.Now()
-			body(bounds[0], bounds[1], 0)
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(bounds[0], bounds[1], 0)
+		m.inline(evtrace.KindRound, func() { body(bounds[0], bounds[1], 0) })
 		return
 	}
 	m.step = stepDesc{
@@ -451,11 +428,14 @@ func (m *Machine) ParallelFor2D(n1, n2 int, body func(i, j int)) {
 	})
 }
 
+// cursorFor resets and returns the machine's cursor when the configured
+// policy is Dynamic or Guided, nil otherwise; caller-side, like stealerFor.
 func (m *Machine) cursorFor(n int) *sched.Cursor {
-	if m.policy == sched.Dynamic || m.policy == sched.Guided {
-		return sched.NewCursor(m.policy, n, m.p, m.chunk)
+	if m.policy != sched.Dynamic && m.policy != sched.Guided {
+		return nil
 	}
-	return nil
+	m.cur.Reset(n)
+	return m.cur
 }
 
 // stealerFor resets and returns the machine's stealer when the configured
@@ -470,9 +450,30 @@ func (m *Machine) stealerFor(n int) *sched.Stealer {
 	return m.steal
 }
 
+// inline runs a P=1 machine's round or region f on the caller; with
+// metrics on it is worker 0's busy time and an event-trace span of kind.
+func (m *Machine) inline(kind evtrace.Kind, f func()) {
+	if m.rec == nil {
+		f()
+		return
+	}
+	a := m.evt.Worker(0).Begin(kind, m.nextSeq())
+	t0 := time.Now()
+	f()
+	m.rec.Shard(0).AddBusy(time.Since(t0))
+	a.End()
+}
+
+// runStep runs the published step as worker 0 — release the helpers, run
+// the caller's share, join — and re-raises any worker panic. An aborted
+// team region left its team barrier mid-phase, so it is replaced here.
 func (m *Machine) runStep() {
-	m.bar.Wait(m.p) // start phase: workers pick up m.step
-	m.bar.Wait(m.p) // end phase: all workers finished their shares
+	m.bar.Wait(0) // start phase: helpers pick up m.step
+	m.share(m.step, 0)
+	if m.teamAborted.Load() {
+		m.teamBar = newTeamBarrier(m.p)
+		m.teamAborted.Store(false)
+	}
 	m.reraise()
 }
 
@@ -494,6 +495,7 @@ func (m *Machine) reraise() {
 	}
 }
 
+// worker is helper id's dispatch loop (ids 1..P-1; the caller is 0).
 func (m *Machine) worker(id int) {
 	for {
 		m.bar.Wait(id) // start phase
@@ -501,21 +503,27 @@ func (m *Machine) worker(id int) {
 		if st.quit {
 			return
 		}
-		// The per-machine metrics enable is this one branch: the entire
-		// instrumented step path (busy/barrier timing, pprof round-phase
-		// labels) lives behind it, so a machine without WithMetrics runs
-		// the loop below exactly as before.
-		if m.rec != nil {
-			m.runStepMetrics(st, id)
-			continue // runStepMetrics includes the end-phase wait
-		}
-		if st.team != nil {
-			m.runTeamShare(st, id)
-		} else {
-			m.runShare(st, id)
-		}
-		m.bar.Wait(id) // end phase
+		m.share(st, id)
 	}
+}
+
+// share runs worker id's share of step st through the end-phase wait —
+// the one path for the caller (worker 0) and the helpers alike.
+func (m *Machine) share(st stepDesc, id int) {
+	// The per-machine metrics enable is this one branch: the entire
+	// instrumented step path (busy/barrier timing, pprof round-phase
+	// labels) lives behind it, so a machine without WithMetrics runs the
+	// path below exactly as before.
+	if m.rec != nil {
+		m.runStepMetrics(st, id) // includes the end-phase wait
+		return
+	}
+	if st.team != nil {
+		m.runTeamShare(st, id)
+	} else {
+		m.runShare(st, id)
+	}
+	m.bar.Wait(id) // end phase
 }
 
 // runStepMetrics is worker id's instrumented step path. The share runs
@@ -524,7 +532,8 @@ func (m *Machine) worker(id int) {
 // barrier waits that TeamCtx.Barrier credits separately — and the
 // end-phase pool wait runs under "round-phase: barrier-wait" and is
 // credited as barrier wait. The start-phase wait is deliberately not
-// counted: it measures the caller's serial sections, not the round.
+// counted: for helpers it measures the caller's serial sections between
+// steps, not the round, and worker 0 (the caller) only completes it.
 //
 // The event-trace spans ride the same two phases: the work share becomes
 // a per-worker round span (region span for team steps — the in-region
@@ -557,6 +566,12 @@ func (m *Machine) runStepMetrics(st stepDesc, id int) {
 		sh.AddBarrierWait(time.Since(t0))
 		a.End()
 	})
+	// Every worker pushes its barrier span after the end phase has
+	// released the others, so with tracing on one more phase orders all
+	// those ring writes before the caller returns and may Drain.
+	if m.evt != nil {
+		m.bar.Wait(id)
+	}
 }
 
 // runShare executes worker id's share of the step, capturing panics so a
@@ -599,10 +614,8 @@ func (m *Machine) runShare(st stepDesc, id int) {
 	})
 }
 
-func runSerial(policy sched.Policy, chunk, n int, body func(i, w int)) {
-	cur := (*sched.Cursor)(nil)
-	if policy == sched.Dynamic || policy == sched.Guided {
-		cur = sched.NewCursor(policy, n, 1, chunk)
-	}
-	sched.For(policy, cur, n, 1, 0, func(i int) { body(i, 0) })
+// runSerial is a P=1 machine's inline round: the whole index space on the
+// caller, under the machine's policy and its one cursor.
+func (m *Machine) runSerial(n int, body func(i, w int)) {
+	sched.For(m.policy, m.cursorFor(n), n, 1, 0, func(i int) { body(i, 0) })
 }

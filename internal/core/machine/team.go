@@ -1,18 +1,18 @@
 // Team execution mode: one persistent parallel region per kernel.
 //
 // ParallelFor re-enters the worker pool from the caller on every PRAM
-// round, which costs two (P+1)-party barrier phases, a fresh step
-// descriptor, and (for dynamic/guided policies) a cursor allocation per
-// round — plus any serial caller-side work between rounds runs with all P
-// workers parked. The paper's OpenMP kernels instead open a single
-// `#pragma omp parallel` region around the whole round loop (Figures 3-5)
-// and pay one team barrier per round. Team reproduces that shape: the
-// kernel body runs once on all P workers simultaneously, and the in-region
-// primitives on TeamCtx — For / ForWorker / Range (work-shared loop ending
-// in a team barrier), Single (one worker executes, the rest wait), and
-// Barrier — mirror `omp for`, `omp single` and `#pragma omp barrier`. Per
-// empty round the fixed cost drops from two (P+1)-party phases plus step
-// setup to one P-party phase.
+// round, which costs two P-party barrier phases (the caller is worker 0)
+// and a fresh step descriptor per round — plus any serial caller-side work
+// between rounds runs with workers 1..P-1 parked. The paper's OpenMP
+// kernels instead open a single `#pragma omp parallel` region around the
+// whole round loop (Figures 3-5) and pay one team barrier per round. Team
+// reproduces that shape: the kernel body runs once on all P workers
+// simultaneously — the caller as worker 0, as OpenMP's encountering thread
+// is thread 0 of its team — and the in-region primitives on TeamCtx — For
+// / ForWorker / Range (work-shared loop ending in a team barrier), Single
+// (one worker executes, the rest wait), and Barrier — mirror `omp for`,
+// `omp single` and `#pragma omp barrier`. Per empty round the fixed cost
+// drops from two P-party phases plus step setup to one P-party phase.
 //
 // A team body is SPMD code: every worker executes the same statements on
 // the same shared state, so control flow that feeds a team primitive
@@ -40,12 +40,12 @@ const teamSpins = 128
 // by the team driver and never recorded as a user panic.
 type teamAbort struct{}
 
-// teamBarrier is a sense-reversing barrier for the P workers only (the
-// caller is not a party: it waits at the machine's end phase). Unlike
-// barrier.Sense it is abortable: when a worker panics inside a team body it
-// can never arrive, so waiters poll the machine's abort flag and bail out
-// instead of deadlocking. After an aborted step the internal state is
-// mid-phase garbage; the driver replaces the barrier wholesale.
+// teamBarrier is a sense-reversing barrier for the P workers of a team
+// region, the caller among them as worker 0. Unlike barrier.Sense it is
+// abortable: when a worker panics inside a team body it can never arrive,
+// so waiters poll the machine's abort flag and bail out instead of
+// deadlocking. After an aborted step the internal state is mid-phase
+// garbage; runStep replaces the barrier wholesale.
 type teamBarrier struct {
 	parties int32
 	count   atomic.Int32
@@ -144,7 +144,7 @@ func (tc *TeamCtx) For(n int, body func(i int)) {
 	if m.p == 1 {
 		if n > 0 {
 			a := tc.beginLoop()
-			runSerial(m.policy, m.chunk, n, func(i, _ int) { body(i) })
+			m.runSerial(n, func(i, _ int) { body(i) })
 			a.End()
 		}
 		return
@@ -286,7 +286,7 @@ func (tc *TeamCtx) loopCursor(n int) *sched.Cursor {
 	tc.epoch++
 	e := tc.epoch
 	if m.teamTicket.CompareAndSwap(e-1, e) {
-		m.teamCur.Reset(n)
+		m.cur.Reset(n)
 		m.teamReady.Store(e)
 	} else {
 		for spins := 0; m.teamReady.Load() < e; spins++ {
@@ -298,7 +298,7 @@ func (tc *TeamCtx) loopCursor(n int) *sched.Cursor {
 			}
 		}
 	}
-	return m.teamCur
+	return m.cur
 }
 
 // loopStealer is loopCursor's work-stealing twin: exactly one worker per
@@ -329,10 +329,11 @@ func (tc *TeamCtx) loopStealer(n int) *sched.Stealer {
 
 // Team runs body once on all P workers simultaneously — one persistent
 // parallel region, the shape of the paper's OpenMP kernels. The caller
-// blocks until every worker has returned from body. Rounds inside the
-// region are expressed with tc.For/tc.Range (implicit team barrier each)
-// and serial sections with tc.Single, so a whole kernel pays region entry
-// once instead of two pool barrier phases per round.
+// runs body as worker 0 and returns once every worker has returned from
+// body. Rounds inside the region are expressed with tc.For/tc.Range
+// (implicit team barrier each) and serial sections with tc.Single, so a
+// whole kernel pays region entry once instead of two pool barrier phases
+// per round.
 //
 // If a worker's body panics, the region is aborted: the remaining workers
 // bail at their next team synchronization point, the panic is re-raised on
@@ -344,15 +345,7 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 	}
 	if m.p == 1 {
 		// Single worker: the caller is the team. Barriers are no-ops.
-		if m.rec != nil {
-			a := m.evt.Worker(0).Begin(evtrace.KindRegion, m.nextSeq())
-			t0 := time.Now()
-			body(&TeamCtx{m: m})
-			m.rec.Shard(0).AddBusy(time.Since(t0))
-			a.End()
-			return
-		}
-		body(&TeamCtx{m: m})
+		m.inline(evtrace.KindRegion, func() { body(&TeamCtx{m: m}) })
 		return
 	}
 	// Fresh region: worker-local epochs restart at 0, so rewind the shared
@@ -360,14 +353,7 @@ func (m *Machine) Team(body func(tc *TeamCtx)) {
 	m.teamTicket.Store(0)
 	m.teamReady.Store(0)
 	m.step = stepDesc{team: body, seq: m.nextSeq(), panics: m.step.panics}
-	m.bar.Wait(m.p) // start phase: workers pick up the region body
-	m.bar.Wait(m.p) // end phase: all workers have left the region
-	if m.teamAborted.Load() {
-		// The team barrier was abandoned mid-phase; replace it.
-		m.teamBar = newTeamBarrier(m.p)
-		m.teamAborted.Store(false)
-	}
-	m.reraise()
+	m.runStep()
 }
 
 // runTeamShare executes worker id's copy of the region body, capturing

@@ -321,9 +321,9 @@ func TestExecParseRoundTrip(t *testing.T) {
 }
 
 // BenchmarkRoundOverhead quantifies the fixed cost of one empty PRAM round
-// under both execution modes: pool pays two (P+1)-party barrier phases plus
-// a step descriptor per round; team pays one P-party team barrier inside a
-// region entered once. This is the microbenchmark behind the team mode's
+// under both execution modes: pool pays two P-party barrier phases (the
+// caller runs worker 0's share) plus a step descriptor per round; team pays
+// one P-party team barrier inside a region entered once. This is the microbenchmark behind the team mode's
 // reason to exist — at small per-round work the fixed cost dominates.
 func BenchmarkRoundOverhead(b *testing.B) {
 	ps := []int{1, 2, 4, 8}

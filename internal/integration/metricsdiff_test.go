@@ -116,7 +116,7 @@ func TestExecMetricsDifferentialBFS(t *testing.T) {
 			}, checkGuarded(p, method))
 		}
 		// The frontier variant exercises the Shard path through
-		// relaxFrontier (shards flow through ForWorker, not Range).
+		// frontierLevel.relaxLevel (shards flow through ForWorker, not Range).
 		tag := fmt.Sprintf("p=%d bfs-frontier", p)
 		runDifferential(t, tag, plain, inst, func(m *machine.Machine, e machine.Exec) []byte {
 			k := kernelOf(m)
