@@ -24,6 +24,7 @@ import (
 	"crcwpram/internal/alg/mis"
 	"crcwpram/internal/barrier"
 	"crcwpram/internal/core/cw"
+	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 	"crcwpram/internal/sched"
@@ -319,18 +320,25 @@ func BenchmarkAblationMutex(b *testing.B) {
 }
 
 // BenchmarkAblationBarrier compares barrier constructions under the
-// machine (per-round synchronization cost).
+// machine (per-round synchronization cost): one empty round per iteration,
+// a pool fork/join step or a team loop closed by the in-region barrier,
+// both built from the machine's WithBarrier kind.
 func BenchmarkAblationBarrier(b *testing.B) {
-	for _, kind := range barrier.Kinds {
-		for _, p := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/p=%d", kind, p), func(b *testing.B) {
-				m := machine.New(p, machine.WithBarrier(kind))
-				defer m.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.ParallelFor(p, func(int) {})
-				}
-			})
+	for _, e := range machine.Execs {
+		for _, kind := range barrier.Kinds {
+			for _, p := range []int{2, 4, 8} {
+				b.Run(fmt.Sprintf("exec=%s/%s/p=%d", e, kind, p), func(b *testing.B) {
+					m := machine.New(p, machine.WithBarrier(kind))
+					defer m.Close()
+					body := func(int) {}
+					b.ResetTimer()
+					exec.Run(m, e, func(ctx exec.Ctx) {
+						for i := 0; i < b.N; i++ {
+							ctx.For(p, body)
+						}
+					})
+				})
+			}
 		}
 	}
 }

@@ -18,6 +18,9 @@
 //
 // All barriers implement the Barrier interface and are reusable: Wait may be
 // called any number of phases in a row by exactly the fixed party size.
+// Every kind is also abortable, for parties that can fail between phases:
+// a party that panics never arrives, so Abort releases the others instead
+// of leaving them waiting for it.
 package barrier
 
 // Barrier synchronizes a fixed party of workers. Wait blocks until all
@@ -26,9 +29,14 @@ package barrier
 // one-shot WaitGroup.
 type Barrier interface {
 	// Wait blocks worker (0 <= worker < Parties()) until all parties have
-	// arrived at the current phase. Central and Sense ignore the worker
+	// arrived at the current phase and reports true, or reports false once
+	// the barrier has been aborted. Central and Sense ignore the worker
 	// id; Tree uses it to pick the worker's arrival leaf.
-	Wait(worker int)
+	Wait(worker int) bool
+	// Abort releases every pending Wait with false, and later Waits report
+	// false too. An aborted barrier is left mid-phase: replace it rather
+	// than reuse it.
+	Abort()
 	// Parties returns the fixed party size.
 	Parties() int
 }

@@ -76,9 +76,10 @@ func TestNoWorkerPassesEarly(t *testing.T) {
 					defer wg.Done()
 					for p := 0; p < phases; p++ {
 						counts[p].Add(1)
-						b.Wait(w)
-						if got := counts[p].Load(); got != int32(parties) {
-							// Record but keep participating so the other
+						ok := b.Wait(w)
+						if got := counts[p].Load(); !ok || got != int32(parties) {
+							// Record (an unaborted barrier must report
+							// success) but keep participating so the other
 							// workers are not deadlocked at the barrier.
 							violated.Store(true)
 						}
@@ -122,6 +123,44 @@ func TestUnevenWorkAcrossPhases(t *testing.T) {
 		wg.Wait()
 		if got := total.Load(); got != parties*phases {
 			t.Fatalf("%v: total = %d, want %d", k, got, parties*phases)
+		}
+	})
+}
+
+// Abort must release every parked waiter — spinning for sense and tree,
+// sleeping for central — with false, and a later Wait on the aborted
+// instance must report false too.
+func TestAbortReleasesWaiters(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k Kind) {
+		for _, parties := range []int{2, 4, 5} {
+			b := New(k, parties)
+			var parked atomic.Int32
+			results := make(chan bool, parties-1)
+			for w := 0; w < parties-1; w++ {
+				w := w
+				go func() {
+					parked.Add(1)
+					results <- b.Wait(w)
+				}()
+			}
+			for parked.Load() != int32(parties-1) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // let the waiters settle into the wait
+			b.Abort()
+			for i := 0; i < parties-1; i++ {
+				select {
+				case ok := <-results:
+					if ok {
+						t.Fatalf("%v/%d parties: a waiter reported success after Abort", k, parties)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%v/%d parties: Abort left a waiter parked", k, parties)
+				}
+			}
+			if b.Wait(parties - 1) {
+				t.Fatalf("%v/%d parties: Wait after Abort reported success", k, parties)
+			}
 		}
 	})
 }

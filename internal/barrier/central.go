@@ -15,6 +15,7 @@ type Central struct {
 	parties int
 	arrived int
 	gen     uint64
+	aborted bool
 }
 
 // NewCentral returns a central barrier for the given party size.
@@ -30,22 +31,33 @@ func NewCentral(parties int) *Central {
 // Parties returns the fixed party size.
 func (b *Central) Parties() int { return b.parties }
 
-// Wait blocks until all parties of the current phase have arrived. The
-// worker id is ignored.
-func (b *Central) Wait(worker int) {
+// Wait blocks until all parties of the current phase have arrived, or the
+// barrier is aborted. The worker id is ignored.
+func (b *Central) Wait(worker int) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.aborted {
+		return false
+	}
 	gen := b.gen
 	b.arrived++
 	if b.arrived == b.parties {
 		// Last arrival: open the next phase and release everyone.
 		b.arrived = 0
 		b.gen++
-		b.mu.Unlock()
 		b.cond.Broadcast()
-		return
+		return true
 	}
-	for gen == b.gen {
+	for gen == b.gen && !b.aborted {
 		b.cond.Wait()
 	}
+	return gen != b.gen
+}
+
+// Abort wakes every sleeping waiter with false.
+func (b *Central) Abort() {
+	b.mu.Lock()
+	b.aborted = true
 	b.mu.Unlock()
+	b.cond.Broadcast()
 }

@@ -23,6 +23,7 @@ type Sense struct {
 	parties int32
 	count   atomic.Int32  // arrivals remaining in the current phase
 	sense   atomic.Uint32 // flips 0/1 each phase
+	aborted atomic.Bool
 }
 
 // NewSense returns a sense-reversing barrier for the given party size.
@@ -38,9 +39,9 @@ func NewSense(parties int) *Sense {
 // Parties returns the fixed party size.
 func (b *Sense) Parties() int { return int(b.parties) }
 
-// Wait blocks until all parties of the current phase have arrived. The
-// worker id is ignored.
-func (b *Sense) Wait(worker int) {
+// Wait blocks until all parties of the current phase have arrived, or the
+// barrier is aborted. The worker id is ignored.
+func (b *Sense) Wait(worker int) bool {
 	local := b.sense.Load() ^ 1 // the sense value that ends this phase
 	if b.count.Add(-1) == 0 {
 		// Last arrival: reset the count for the next phase, then flip the
@@ -48,11 +49,25 @@ func (b *Sense) Wait(worker int) {
 		// ready before anyone leaves.
 		b.count.Store(b.parties)
 		b.sense.Store(local)
-		return
+		return !b.aborted.Load()
 	}
-	for spins := 0; b.sense.Load() != local; spins++ {
+	return await(&b.sense, local, &b.aborted)
+}
+
+// Abort releases every spinning waiter with false once it next yields.
+func (b *Sense) Abort() { b.aborted.Store(true) }
+
+// await spins until sense reaches local, yielding after spinsBeforeYield
+// spins. Abort is the cold path: it is checked only before a yield, so the
+// hot release loop stays load-only.
+func await(sense *atomic.Uint32, local uint32, aborted *atomic.Bool) bool {
+	for spins := 0; sense.Load() != local; spins++ {
 		if spins > spinsBeforeYield {
+			if aborted.Load() {
+				return false
+			}
 			runtime.Gosched()
 		}
 	}
+	return true
 }

@@ -1,9 +1,6 @@
 package barrier
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // treeFanIn is the arrival-tree radix. Fan-in 4 is the classic compromise:
 // contention per node stays low while the tree stays shallow.
@@ -34,6 +31,7 @@ type Tree struct {
 	leaves  []*treeNode // leaf node per worker id
 	root    *treeNode
 	sense   atomic.Uint32 // global release sense
+	aborted atomic.Bool
 }
 
 // NewTree returns a tree barrier for the given party size.
@@ -79,27 +77,30 @@ func NewTree(parties int) *Tree {
 func (b *Tree) Parties() int { return b.parties }
 
 // Wait blocks worker id (0 <= worker < Parties()) until all parties of the
-// current phase have arrived.
-func (b *Tree) Wait(worker int) {
+// current phase have arrived, or the barrier is aborted.
+func (b *Tree) Wait(worker int) bool {
 	local := b.sense.Load() ^ 1
-	b.arrive(b.leaves[worker])
-	for spins := 0; b.sense.Load() != local; spins++ {
-		if spins > spinsBeforeYield {
-			runtime.Gosched()
-		}
+	if b.arrive(b.leaves[worker]) {
+		return !b.aborted.Load()
 	}
+	return await(&b.sense, local, &b.aborted)
 }
 
-func (b *Tree) arrive(n *treeNode) {
+// Abort releases every spinning waiter with false once it next yields.
+func (b *Tree) Abort() { b.aborted.Store(true) }
+
+// arrive records one arrival at node n and reports whether it was the
+// phase's last, which flipped the release sense.
+func (b *Tree) arrive(n *treeNode) bool {
 	if n.count.Add(-1) != 0 {
-		return
+		return false
 	}
 	// Last arrival at this node: reset it for the next phase and continue
 	// upward; at the root, flip the global sense to release everyone.
 	n.count.Store(n.init)
 	if n.parent != nil {
-		b.arrive(n.parent)
-		return
+		return b.arrive(n.parent)
 	}
 	b.sense.Store(b.sense.Load() ^ 1)
+	return true
 }

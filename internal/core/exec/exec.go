@@ -30,9 +30,10 @@
 //     PRAM round boundary the paper requires after a concurrent write is
 //     already paid by the step split. Single runs inline on the caller
 //     while workers 1..P-1 are parked, which is the same serial section.
-//   - team: For/Range/Bounds end in one real sense barrier (TeamCtx
-//     semantics), Barrier() is that barrier alone, and Single elects
-//     worker 0 with a closing barrier.
+//   - team: the context is machine.TeamCtx. Every loop ends in the team
+//     barrier (a barrier.Barrier of the machine's WithBarrier kind),
+//     Barrier() is that barrier alone, and Single elects worker 0 with a
+//     closing barrier.
 //   - trace: no synchronization exists (the replay is serial); barriers
 //     are counted, not executed.
 //
@@ -86,7 +87,7 @@ type Ctx interface {
 	StealRange(n int, body func(lo, hi, w int))
 	// Barrier closes the current PRAM round: no dependent read proceeds
 	// until every write of the round is visible. Under pool it is free
-	// (each loop already closed its step); under team it is one sense
+	// (each loop already closed its step); under team it is one team
 	// barrier.
 	Barrier()
 	// Single executes f on exactly one worker, with f's writes visible to
@@ -109,19 +110,32 @@ type Ctx interface {
 }
 
 // Flag is a rotating convergence flag for round loops, usable under every
-// backend. It is the exec-layer twin of machine.TeamFlag: one shared word
-// per round — primed before the round, written during it, read after its
-// closing barrier — with three rotating slots (indexed round mod 3) so a
-// prime for round r+1 can never race a slow peer's read for round r-1.
-// The protocol is
+// backend: the race-free, barrier-free replacement for a caller-owned
+// atomic reset between rounds.
+//
+// A round loop needs one shared word per round — "did anything change?" —
+// that is primed before the round, written during it, and read after it to
+// decide termination. Inside one team region the priming is the subtle
+// part: a worker that primes the flag for round r while a slow peer is
+// still reading it for round r-1 would corrupt the peer's break decision.
+// Three rotating slots (indexed round mod 3) make the pattern safe with no
+// extra barrier, provided each round ends with at least one barrier and
+// the calls follow the round structure:
 //
 //	Set(r+1, primeValue)  at the top of round r (any or all workers);
 //	Set(r,   seenValue)   during round r's work-shared loops;
 //	Get(r)                after round r's closing barrier.
 //
-// See machine.TeamFlag for the three-slot sufficiency argument. Under
-// pool and trace the rotation is unnecessary but harmless; using one
-// protocol everywhere keeps kernel bodies backend-agnostic.
+// Why three slots suffice: slot (r+1)%3 equals slot (r-2)%3, and its last
+// reader — Get(r-2) — ran before that worker arrived at round r-1's
+// closing barrier, which every worker passes before priming at the top of
+// round r. Writes for round r+1 begin only after round r's barrier, after
+// all primes. Two slots would put the prime and the previous read in the
+// same unsynchronized window; three separates every conflicting pair by a
+// barrier. All accesses are atomic, so concurrent primes/sets of the same
+// value (the common-CW idiom) are race-detector clean. Under pool and
+// trace the rotation is unnecessary but harmless; using one protocol
+// everywhere keeps kernel bodies backend-agnostic.
 type Flag struct {
 	slots [3]atomic.Uint32
 }
@@ -155,14 +169,14 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 	// serial replay has no schedule to perturb).
 	wrap := func(c Ctx) Ctx {
 		if inj := m.Chaos(); inj != nil {
-			return &chaosCtx{inner: c, inj: inj}
+			return &chaosCtx{Ctx: c, inj: inj}
 		}
 		return c
 	}
 	switch e {
 	case machine.ExecTeam:
 		m.Team(func(tc *machine.TeamCtx) {
-			body(wrap(&teamCtx{tc: tc, flag: flag, rec: m.Metrics()}))
+			body(wrap(&teamCtx{TeamCtx: tc, flag: flag}))
 		})
 		return nil
 	case machine.ExecTrace:

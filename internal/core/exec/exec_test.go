@@ -180,3 +180,53 @@ func TestPanicPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagConvergenceLoop drives the rotating-flag pattern under every
+// backend: a countdown loop where every SPMD copy must observe the same
+// number of rounds, repeated to shake out races between a prime for the
+// next round and a slow peer's read of the last.
+func TestFlagConvergenceLoop(t *testing.T) {
+	m := machine.New(4)
+	defer m.Close()
+	const n = 256
+	for _, e := range []machine.Exec{machine.ExecPool, machine.ExecTeam, machine.ExecTrace} {
+		for rep := 0; rep < 50; rep++ {
+			work := make([]uint32, n)
+			for i := range work {
+				work[i] = uint32(3 + rep%5)
+			}
+			roundsSeen := make([]uint32, m.P())
+			copies := e == machine.ExecTeam
+			Run(m, e, func(ctx Ctx) {
+				done := ctx.Flag()
+				r := uint32(0)
+				for {
+					done.Set(r+1, 1) // prime next round (common CW)
+					ctx.Range(n, func(lo, hi, _ int) {
+						progress := false
+						for i := lo; i < hi; i++ {
+							if work[i] > 0 {
+								work[i]--
+								progress = true
+							}
+						}
+						if progress {
+							done.Set(r, 0)
+						}
+					})
+					if done.Get(r) == 1 {
+						roundsSeen[ctx.Worker()] = r
+						break
+					}
+					r++
+				}
+			})
+			want := uint32(3 + rep%5)
+			for w, r := range roundsSeen {
+				if (w == 0 || copies) && r != want {
+					t.Fatalf("exec=%v rep %d: worker %d converged after %d rounds, want %d", e, rep, w, r, want)
+				}
+			}
+		}
+	}
+}

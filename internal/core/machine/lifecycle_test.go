@@ -80,14 +80,17 @@ func TestLifecycleGoroutines(t *testing.T) {
 	}
 }
 
-// Pool rounds reuse the machine's one cursor and stealer, so an empty
-// round with a pre-built body allocates nothing under any policy, inline
-// at P=1 or forked at P=2.
+// Pool rounds and team loops reuse the machine's one cursor and stealer,
+// so an empty round with a pre-built body allocates nothing under any
+// policy, inline at P=1 or forked at P=2: a pool round allocates nothing,
+// and a team region running 101 loops allocates no more than one running
+// a single loop.
 func TestPoolRoundAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	forBody := func(i, w int) {}
+	idxBody := func(i int) {}
 	rangeBody := func(lo, hi, w int) {}
 	for _, p := range []int{1, 2} {
 		bounds := []int{0, 40, 64}[2-p:]
@@ -102,6 +105,26 @@ func TestPoolRoundAllocs(t *testing.T) {
 			for name, round := range rounds {
 				if a := testing.AllocsPerRun(100, round); a != 0 {
 					t.Errorf("p=%d %v %s: %v allocs per round, want 0", p, policy, name, a)
+				}
+			}
+			loops := map[string]func(tc *TeamCtx){
+				"For":        func(tc *TeamCtx) { tc.For(64, idxBody) },
+				"ForWorker":  func(tc *TeamCtx) { tc.ForWorker(64, forBody) },
+				"Range":      func(tc *TeamCtx) { tc.Range(64, rangeBody) },
+				"Bounds":     func(tc *TeamCtx) { tc.Bounds(bounds, rangeBody) },
+				"StealRange": func(tc *TeamCtx) { tc.StealRange(64, rangeBody) },
+			}
+			for name, loop := range loops {
+				region := func(k int) float64 {
+					body := func(tc *TeamCtx) {
+						for i := 0; i < k; i++ {
+							loop(tc)
+						}
+					}
+					return testing.AllocsPerRun(20, func() { m.Team(body) })
+				}
+				if one, many := region(1), region(101); many > one {
+					t.Errorf("p=%d %v team %s: 101 loops allocate %v per region, 1 loop %v", p, policy, name, many, one)
 				}
 			}
 			m.Close()
@@ -176,20 +199,24 @@ func TestWorkerZeroPanic(t *testing.T) {
 				})
 				checkUsable(t, m, rd.name)
 			}
-			// A team region whose worker 0 panics mid-region while its
-			// peers wait at a team barrier.
-			mustPanic(t, "Team", "team w0 boom", func() {
-				m.Team(func(tc *TeamCtx) {
-					tc.For(100, func(int) {})
-					if tc.W == 0 {
-						panic("team w0 boom")
-					}
-					tc.Barrier()
-					tc.For(100, func(int) {})
-				})
-			})
-			checkUsable(t, m, "Team")
 			closeWithin(t, m)
+			// A team region whose worker 0 panics mid-region while its
+			// peers wait at a team barrier, under every barrier kind.
+			for _, k := range barrier.Kinds {
+				m := New(p, append(opts, WithBarrier(k))...)
+				mustPanic(t, "Team "+k.String(), "team w0 boom", func() {
+					m.Team(func(tc *TeamCtx) {
+						tc.For(100, func(int) {})
+						if tc.Worker() == 0 {
+							panic("team w0 boom")
+						}
+						tc.Barrier()
+						tc.For(100, func(int) {})
+					})
+				})
+				checkUsable(t, m, "Team "+k.String())
+				closeWithin(t, m)
+			}
 		}
 	}
 }

@@ -25,7 +25,10 @@
 // round per call, re-entering the pool from the caller each time. Team runs
 // a whole kernel inside one persistent parallel region — the exact shape of
 // the paper's OpenMP listings, at one team barrier per round instead of two
-// pool phases — see team.go.
+// pool phases — see team.go. Both modes share one loop dispatch (a worker's
+// static share, cursor claims or stolen chunks) and one barrier family:
+// WithBarrier picks the construction for the pool's fork/join phases and
+// the team's in-region barrier alike.
 package machine
 
 import (
@@ -63,18 +66,18 @@ type Machine struct {
 	// reset per loop, never per machine.
 	cur *sched.Cursor
 
-	// Team-region state (team.go): the abortable team barrier, the
-	// ticket/ready words of the per-loop cursor/stealer reset protocol,
-	// and the abort flag a panicking team body raises.
-	teamBar     *teamBarrier
-	teamTicket  atomic.Uint64
-	teamReady   atomic.Uint64
-	teamAborted atomic.Bool
+	// Team-region state (team.go): the in-region barrier, which a
+	// panicking team body aborts (runStep then replaces it), and the
+	// ticket/ready words of the per-loop cursor/stealer reset protocol.
+	teamBar    barrier.Barrier
+	teamTicket atomic.Uint64
+	teamReady  atomic.Uint64
 
 	// steal is the one pre-allocated work-stealing deque set shared by all
-	// stealing loops (the sched.Stealing policy and ParallelSteal). Like
-	// cur it is reset per loop, never per machine: caller-side under the
-	// pool backend, via the team ticket protocol in-region.
+	// stealing loops (the sched.Stealing policy, ParallelSteal and
+	// TeamCtx.StealRange). Like cur it is reset per loop, never per
+	// machine: caller-side under the pool backend, via the team ticket
+	// protocol in-region.
 	steal *sched.Stealer
 
 	// rec is the live-metrics recorder, nil unless WithMetrics was given.
@@ -127,7 +130,8 @@ func WithPolicy(p sched.Policy) Option { return func(m *Machine) { m.policy = p 
 // sched.DefaultChunk).
 func WithChunk(c int) Option { return func(m *Machine) { m.chunk = c } }
 
-// WithBarrier selects the barrier construction (default barrier.KindSense).
+// WithBarrier selects the barrier construction (default barrier.KindSense)
+// for both the pool's fork/join phases and the team's in-region barrier.
 func WithBarrier(k barrier.Kind) Option { return func(m *Machine) { m.barKind = k } }
 
 // WithExec selects the machine's default execution backend (default
@@ -208,10 +212,10 @@ func New(p int, opts ...Option) *Machine {
 			m.rec.SetClaimHook(hooks)
 		}
 	}
-	// The caller is worker 0: it runs its own share of every step, so the
-	// barrier has p parties and only workers 1..p-1 get a goroutine.
+	// The caller is worker 0: it runs its own share of every step, so both
+	// barriers have p parties and only workers 1..p-1 get a goroutine.
 	m.bar = barrier.New(m.barKind, p)
-	m.teamBar = newTeamBarrier(p)
+	m.teamBar = barrier.New(m.barKind, p)
 	m.cur = sched.NewCursor(m.policy, 0, p, m.chunk)
 	m.steal = sched.NewStealer(p)
 	m.step.panics = make([]any, p)
@@ -305,26 +309,10 @@ func (m *Machine) ParallelFor(n int, body func(i int)) {
 // ParallelForWorker is ParallelFor with the executing worker's id (in
 // [0, P())) passed to the body, for per-worker accumulators.
 func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	m.mustBeOpen()
+	if n > 0 {
+		m.pool(m.forStep(n, body))
 	}
-	if n <= 0 {
-		return
-	}
-	// Single worker: run inline; the pool would only add barrier latency.
-	if m.p == 1 {
-		m.inline(evtrace.KindRound, func() { m.runSerial(n, body) })
-		return
-	}
-	m.step = stepDesc{
-		n:       n,
-		seq:     m.nextSeq(),
-		body:    body,
-		cursor:  m.cursorFor(n),
-		stealer: m.stealerFor(n),
-		panics:  m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelSteal executes one PRAM round under work stealing regardless of
@@ -336,25 +324,10 @@ func (m *Machine) ParallelForWorker(n int, body func(i, w int)) {
 // opt into stealing explicitly; regular loops should keep ParallelRange /
 // ParallelBounds. Implicit barrier on return, like every Parallel* round.
 func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	m.mustBeOpen()
+	if n > 0 {
+		m.pool(m.stealStep(n, body))
 	}
-	if n <= 0 {
-		return
-	}
-	if m.p == 1 {
-		m.inline(evtrace.KindRound, func() { body(0, n, 0) })
-		return
-	}
-	m.steal.Reset(n, m.chunk)
-	m.step = stepDesc{
-		n:       n,
-		seq:     m.nextSeq(),
-		ranged:  body,
-		stealer: m.steal,
-		panics:  m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelRange executes one PRAM round in block form: each worker receives
@@ -362,23 +335,10 @@ func (m *Machine) ParallelSteal(n int, body func(lo, hi, w int)) {
 // re-initialization passes (e.g. the gatekeeper method's per-round reset)
 // and for per-worker reductions. The partitioning policy is always Block.
 func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	m.mustBeOpen()
+	if n > 0 {
+		m.pool(stepDesc{n: n, ranged: body})
 	}
-	if n <= 0 {
-		return
-	}
-	if m.p == 1 {
-		m.inline(evtrace.KindRound, func() { body(0, n, 0) })
-		return
-	}
-	m.step = stepDesc{
-		n:      n,
-		seq:    m.nextSeq(),
-		ranged: body,
-		panics: m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelBounds executes one PRAM round in block form over caller-supplied
@@ -389,27 +349,10 @@ func (m *Machine) ParallelRange(n int, body func(lo, hi, w int)) {
 // work instead of count. len(bounds) must be P()+1 and bounds must be
 // non-decreasing; workers with an empty shard skip the body.
 func (m *Machine) ParallelBounds(bounds []int, body func(lo, hi, w int)) {
-	if m.closed {
-		panic("machine: use after Close")
+	m.mustBeOpen()
+	if st := m.boundsStep(bounds, body); st.n > 0 {
+		m.pool(st)
 	}
-	if len(bounds) != m.p+1 {
-		panic(fmt.Sprintf("machine: ParallelBounds: %d bounds for %d workers", len(bounds), m.p))
-	}
-	if bounds[m.p] <= bounds[0] {
-		return
-	}
-	if m.p == 1 {
-		m.inline(evtrace.KindRound, func() { body(bounds[0], bounds[1], 0) })
-		return
-	}
-	m.step = stepDesc{
-		n:      bounds[m.p],
-		seq:    m.nextSeq(),
-		ranged: body,
-		bounds: bounds,
-		panics: m.step.panics,
-	}
-	m.runStep()
 }
 
 // ParallelFor2D executes body(i, j) for every pair in [0, n1) x [0, n2),
@@ -428,26 +371,73 @@ func (m *Machine) ParallelFor2D(n1, n2 int, body func(i, j int)) {
 	})
 }
 
-// cursorFor resets and returns the machine's cursor when the configured
-// policy is Dynamic or Guided, nil otherwise; caller-side, like stealerFor.
-func (m *Machine) cursorFor(n int) *sched.Cursor {
-	if m.policy != sched.Dynamic && m.policy != sched.Guided {
-		return nil
+// mustBeOpen panics if the machine has been closed.
+func (m *Machine) mustBeOpen() {
+	if m.closed {
+		panic("machine: use after Close")
 	}
-	m.cur.Reset(n)
-	return m.cur
 }
 
-// stealerFor resets and returns the machine's stealer when the configured
-// policy is Stealing, nil otherwise. Safe to reset caller-side: all claims
-// of the previous round happened before its end barrier, which the caller
-// passed before setting up this round.
-func (m *Machine) stealerFor(n int) *sched.Stealer {
-	if m.policy != sched.Stealing {
-		return nil
+// forStep describes a per-index loop over [0, n) under the machine's
+// policy: dynamic and guided loops claim from the shared cursor, stealing
+// loops drain the shared stealer (at P=1, as in stealStep, there is none
+// and the loop runs in block order). Neither is reset here: pool resets
+// them caller-side, a team loop through its ticket.
+func (m *Machine) forStep(n int, body func(i, w int)) stepDesc {
+	st := stepDesc{n: n, body: body}
+	switch m.policy {
+	case sched.Dynamic, sched.Guided:
+		st.cursor = m.cur
+	case sched.Stealing:
+		if m.p > 1 {
+			st.stealer = m.steal
+		}
 	}
-	m.steal.Reset(n, m.chunk)
-	return m.steal
+	return st
+}
+
+// stealStep describes a chunked stealing loop over [0, n). At P=1 there is
+// no one to steal from, so it is the whole range in one body call.
+func (m *Machine) stealStep(n int, body func(lo, hi, w int)) stepDesc {
+	st := stepDesc{n: n, ranged: body}
+	if m.p > 1 {
+		st.stealer = m.steal
+	}
+	return st
+}
+
+// boundsStep describes a block loop over caller-supplied shard boundaries;
+// its n is the covered span, so an all-empty loop has n == 0.
+func (m *Machine) boundsStep(bounds []int, body func(lo, hi, w int)) stepDesc {
+	if len(bounds) != m.p+1 {
+		panic(fmt.Sprintf("machine: %d bounds for %d workers", len(bounds), m.p))
+	}
+	return stepDesc{n: max(bounds[m.p]-bounds[0], 0), ranged: body, bounds: bounds}
+}
+
+// reset readies st's shared cursor or stealer for a fresh loop. All claims
+// of the previous loop happened before its closing barrier, so a reset
+// never races a stale claim.
+func (m *Machine) reset(st stepDesc) {
+	switch {
+	case st.stealer != nil:
+		st.stealer.Reset(st.n, m.chunk)
+	case st.cursor != nil:
+		st.cursor.Reset(st.n)
+	}
+}
+
+// pool runs st as one pool round. The caller is alone between steps, so
+// it resets the shared cursor or stealer itself; at P=1 it runs the round
+// inline, where the pool would only add barrier latency.
+func (m *Machine) pool(st stepDesc) {
+	m.reset(st)
+	if m.p == 1 {
+		m.inline(evtrace.KindRound, func() { m.dispatch(st, 0) })
+		return
+	}
+	st.seq = m.nextSeq()
+	m.runStep(st)
 }
 
 // inline runs a P=1 machine's round or region f on the caller; with
@@ -464,22 +454,20 @@ func (m *Machine) inline(kind evtrace.Kind, f func()) {
 	a.End()
 }
 
-// runStep runs the published step as worker 0 — release the helpers, run
-// the caller's share, join — and re-raises any worker panic. An aborted
-// team region left its team barrier mid-phase, so it is replaced here.
-func (m *Machine) runStep() {
+// runStep publishes st and runs it as worker 0 — release the helpers, run
+// the caller's share, join — then re-raises any worker panic.
+func (m *Machine) runStep(st stepDesc) {
+	st.panics = m.step.panics
+	m.step = st
 	m.bar.Wait(0) // start phase: helpers pick up m.step
-	m.share(m.step, 0)
-	if m.teamAborted.Load() {
-		m.teamBar = newTeamBarrier(m.p)
-		m.teamAborted.Store(false)
-	}
+	m.share(st, 0)
 	m.reraise()
 }
 
 // reraise re-raises the first recorded worker panic on the caller,
 // clearing every slot so a multi-worker panic cannot leak into the next
-// step.
+// step. A panicking team region aborted its team barrier, leaving it
+// mid-phase, so it is replaced first.
 func (m *Machine) reraise() {
 	var first any
 	for w := 0; w < m.p; w++ {
@@ -490,9 +478,13 @@ func (m *Machine) reraise() {
 			}
 		}
 	}
-	if first != nil {
-		panic(first)
+	if first == nil {
+		return
 	}
+	if m.step.team != nil {
+		m.teamBar = barrier.New(m.barKind, m.p)
+	}
+	panic(first)
 }
 
 // worker is helper id's dispatch loop (ids 1..P-1; the caller is 0).
@@ -531,9 +523,11 @@ func (m *Machine) share(st stepDesc, id int) {
 // the worker's shard as busy time — minus, for team regions, the in-region
 // barrier waits that TeamCtx.Barrier credits separately — and the
 // end-phase pool wait runs under "round-phase: barrier-wait" and is
-// credited as barrier wait. The start-phase wait is deliberately not
-// counted: for helpers it measures the caller's serial sections between
-// steps, not the round, and worker 0 (the caller) only completes it.
+// credited as barrier wait, after the chaos injector's barrier jitter (a
+// no-op without WithChaos) delays the arrival. The start-phase wait is
+// deliberately not counted: for helpers it measures the caller's serial
+// sections between steps, not the round, and worker 0 (the caller) only
+// completes it.
 //
 // The event-trace spans ride the same two phases: the work share becomes
 // a per-worker round span (region span for team steps — the in-region
@@ -560,6 +554,7 @@ func (m *Machine) runStepMetrics(st stepDesc, id int) {
 		a.End()
 	})
 	pprof.Do(context.Background(), pprof.Labels("round-phase", "barrier-wait"), func(context.Context) {
+		m.chaos.BarrierJitter(id)
 		a := eb.Begin(evtrace.KindBarrier, st.seq)
 		t0 := time.Now()
 		m.bar.Wait(id) // end phase
@@ -582,6 +577,14 @@ func (m *Machine) runShare(st stepDesc, id int) {
 			st.panics[id] = pv
 		}
 	}()
+	m.dispatch(st, id)
+}
+
+// dispatch runs worker id's share of loop st — its stolen chunks, its
+// static share or its cursor claims — for pool steps and team loops alike.
+// It does not recover: a pool step recovers in runShare, a team region
+// around the whole body.
+func (m *Machine) dispatch(st stepDesc, id int) {
 	if st.stealer != nil {
 		var c sched.StealCounts
 		if st.body != nil {
@@ -612,10 +615,4 @@ func (m *Machine) runShare(st stepDesc, id int) {
 	sched.For(m.policy, st.cursor, st.n, m.p, id, func(i int) {
 		st.body(i, id)
 	})
-}
-
-// runSerial is a P=1 machine's inline round: the whole index space on the
-// caller, under the machine's policy and its one cursor.
-func (m *Machine) runSerial(n int, body func(i, w int)) {
-	sched.For(m.policy, m.cursorFor(n), n, 1, 0, func(i int) { body(i, 0) })
 }

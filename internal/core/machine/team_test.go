@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crcwpram/internal/barrier"
 	"crcwpram/internal/sched"
 )
 
@@ -75,14 +76,17 @@ func TestTeamRangeSingleAndWorkerIDs(t *testing.T) {
 	var badW atomic.Int32
 	perWorker := make([]int, p)
 	m.Team(func(tc *TeamCtx) {
-		if tc.W < 0 || tc.W >= p || tc.P() != p {
+		if tc.Worker() < 0 || tc.Worker() >= p || tc.P() != p {
 			badW.Add(1)
 		}
-		tc.Range(n, func(lo, hi int) {
+		tc.Range(n, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				counts[i].Add(1)
 			}
-			perWorker[tc.W] = hi - lo // worker-local slot: no race
+			if w != tc.Worker() {
+				badW.Add(1)
+			}
+			perWorker[w] = hi - lo // worker-local slot: no race
 		})
 		tc.Single(func() { singles.Add(1) })
 		// Single's writes are team-visible after its barrier.
@@ -141,116 +145,43 @@ func TestTeamDynamicCursorReuseAcrossRounds(t *testing.T) {
 	}
 }
 
-func TestTeamFlagConvergenceLoop(t *testing.T) {
-	// The rotating-flag pattern: a countdown loop where every worker must
-	// observe the same number of rounds, repeated to shake out races.
-	m := New(4)
-	defer m.Close()
-	const n = 256
-	for rep := 0; rep < 50; rep++ {
-		work := make([]uint32, n)
-		for i := range work {
-			work[i] = uint32(3 + rep%5)
-		}
-		var done TeamFlag
-		done.Set(0, 1)
-		roundsSeen := make([]uint32, m.P())
-		m.Team(func(tc *TeamCtx) {
-			r := uint32(0)
-			for {
-				done.Set(r+1, 1) // prime next round (common CW)
-				tc.Range(n, func(lo, hi int) {
-					progress := false
-					for i := lo; i < hi; i++ {
-						if work[i] > 0 {
-							work[i]--
-							progress = true
-						}
-					}
-					if progress {
-						done.Set(r, 0)
-					}
-				})
-				if done.Get(r) == 1 {
-					roundsSeen[tc.W] = r
-					break
-				}
-				r++
-			}
-		})
-		want := roundsSeen[0]
-		for w, r := range roundsSeen {
-			if r != want {
-				t.Fatalf("rep %d: worker %d exited at round %d, worker 0 at %d", rep, w, r, want)
-			}
-		}
-		if want != uint32(3+rep%5) {
-			t.Fatalf("rep %d: converged after %d rounds, want %d", rep, want, 3+rep%5)
-		}
-	}
-}
-
 // TestTeamBodyPanicPropagatesAndPoolSurvives mirrors the pool-path panic
 // test: a panic on one worker inside a team body — while its peers are
 // parked at a team barrier — must re-raise on the caller and leave the
-// machine usable for both subsequent ParallelFor and Team calls.
+// machine usable for both subsequent ParallelFor and Team calls, under
+// every barrier kind.
 func TestTeamBodyPanicPropagatesAndPoolSurvives(t *testing.T) {
-	m := New(4)
-	defer m.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic in team body did not propagate to caller")
-			}
-		}()
-		m.Team(func(tc *TeamCtx) {
-			// A few healthy rounds first, so the panic lands mid-region.
-			tc.For(100, func(i int) {})
-			tc.Barrier()
-			if tc.W == 1 {
-				panic("team boom")
-			}
-			// The other workers park here; the abort must release them.
-			tc.For(100, func(i int) {})
-			tc.For(100, func(i int) {})
+	for _, k := range barrier.Kinds {
+		m := New(4, WithBarrier(k))
+		mustPanic(t, k.String(), "team boom", func() {
+			m.Team(func(tc *TeamCtx) {
+				// A few healthy rounds first, so the panic lands mid-region.
+				tc.For(100, func(i int) {})
+				tc.Barrier()
+				if tc.Worker() == 1 {
+					panic("team boom")
+				}
+				// The other workers park here; the abort must release them.
+				tc.For(100, func(i int) {})
+				tc.For(100, func(i int) {})
+			})
 		})
-	}()
-	// The pool must still run pool rounds...
-	var n atomic.Int32
-	m.ParallelFor(50, func(i int) { n.Add(1) })
-	if n.Load() != 50 {
-		t.Fatalf("pool broken after team panic: %d visits, want 50", n.Load())
-	}
-	// ...and fresh team regions, including their barriers.
-	var total atomic.Int64
-	m.Team(func(tc *TeamCtx) {
-		for r := 0; r < 20; r++ {
-			tc.For(64, func(i int) { total.Add(1) })
-		}
-	})
-	if total.Load() != 20*64 {
-		t.Fatalf("team broken after panic: %d visits, want %d", total.Load(), 20*64)
+		checkUsable(t, m, k.String())
+		closeWithin(t, m)
 	}
 }
 
 func TestTeamPanicInSingle(t *testing.T) {
-	m := New(3)
-	defer m.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic in Single did not propagate")
-			}
-		}()
-		m.Team(func(tc *TeamCtx) {
-			tc.Single(func() { panic("single boom") })
-			tc.For(10, func(i int) {})
+	for _, k := range barrier.Kinds {
+		m := New(3, WithBarrier(k))
+		mustPanic(t, k.String(), "single boom", func() {
+			m.Team(func(tc *TeamCtx) {
+				tc.Single(func() { panic("single boom") })
+				tc.For(10, func(i int) {})
+			})
 		})
-	}()
-	var n atomic.Int32
-	m.Team(func(tc *TeamCtx) { tc.For(30, func(i int) { n.Add(1) }) })
-	if n.Load() != 30 {
-		t.Fatalf("machine broken after Single panic: %d, want 30", n.Load())
+		checkUsable(t, m, k.String())
+		closeWithin(t, m)
 	}
 }
 
@@ -260,13 +191,13 @@ func TestTeamSingleWorkerInline(t *testing.T) {
 	defer m.Close()
 	ran := 0
 	m.Team(func(tc *TeamCtx) {
-		if tc.W != 0 || tc.P() != 1 {
-			t.Errorf("W=%d P=%d, want 0/1", tc.W, tc.P())
+		if tc.Worker() != 0 || tc.P() != 1 {
+			t.Errorf("W=%d P=%d, want 0/1", tc.Worker(), tc.P())
 		}
 		tc.For(10, func(i int) { ran++ })
 		tc.Barrier()
 		tc.Single(func() { ran++ })
-		tc.Range(5, func(lo, hi int) { ran += hi - lo })
+		tc.Range(5, func(lo, hi, _ int) { ran += hi - lo })
 	})
 	if ran != 16 {
 		t.Fatalf("ran = %d, want 16", ran)

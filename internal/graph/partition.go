@@ -57,16 +57,3 @@ func ParseBalance(s string) (Balance, bool) {
 func ArcBounds(g *Graph, p int) []int {
 	return sched.WeightedBounds(g.offsets, p)
 }
-
-// FrontierDegrees fills deg[i] with the degree of frontier[i] and returns
-// the slice. An exclusive prefix scan of deg (see scan.BlockExclusive) turns
-// it into the arc-prefix array that sched.WeightedRange shards a frontier
-// relaxation by, and its total is the frontier edge count m_f that the
-// direction-optimizing BFS switch tests.
-func FrontierDegrees(g *Graph, frontier []uint32, deg []uint32) []uint32 {
-	deg = deg[:len(frontier)]
-	for i, v := range frontier {
-		deg[i] = uint32(g.Degree(v))
-	}
-	return deg
-}

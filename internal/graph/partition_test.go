@@ -86,18 +86,6 @@ func TestArcBoundsStarSkew(t *testing.T) {
 	}
 }
 
-func TestFrontierDegrees(t *testing.T) {
-	g := Star(8)
-	frontier := []uint32{0, 3, 7}
-	deg := FrontierDegrees(g, frontier, make([]uint32, 8))
-	want := []uint32{7, 1, 1}
-	for i := range want {
-		if deg[i] != want[i] {
-			t.Fatalf("deg[%d] = %d, want %d", i, deg[i], want[i])
-		}
-	}
-}
-
 func TestStatsSkewFields(t *testing.T) {
 	g := Star(100) // hub degree 99, avg degree 198/100
 	s := ComputeStats(g)

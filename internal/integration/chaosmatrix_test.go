@@ -31,6 +31,36 @@ func TestChaosMatrixDifferential(t *testing.T) {
 	}
 }
 
+// TestChaosBarrierJitterFires checks that barrier jitter reaches real
+// kernel runs: kernels close their rounds on the loops' implicit barriers,
+// never an explicit Barrier, so the machine must deliver the jitter at
+// its own barrier arrivals — the pool's end phase and the team barrier. A
+// jitter-only injector must therefore take fault decisions under both
+// timed backends.
+func TestChaosBarrierJitterFires(t *testing.T) {
+	d, ok := kernel.Lookup("bfs")
+	if !ok {
+		t.Fatal("bfs not registered")
+	}
+	nw := kernel.MatrixWorkloads(d)[0]
+	for _, e := range machine.Execs {
+		inj := chaos.NewInjector(2, 1, chaos.FaultJitter)
+		m := machine.New(2, machine.WithChaos(inj))
+		inst := d.New(m, nw.W)
+		s := kernel.Settings{Exec: e, Method: cw.CASLT}
+		inst.Prepare(s)
+		inst.Run(s)
+		err := inst.Validate()
+		m.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		if inj.Decisions() == 0 {
+			t.Errorf("%v: jitter-only injector took no fault decisions", e)
+		}
+	}
+}
+
 // doubleCommitResolver wraps a correct resolver and breaks it: a losing
 // claim executes its write anyway and reports a win — the double commit
 // the invariant checker exists to catch.

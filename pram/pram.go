@@ -132,7 +132,8 @@ var (
 	WithPolicy = machine.WithPolicy
 	// WithChunk sets the dynamic/guided chunk size.
 	WithChunk = machine.WithChunk
-	// WithBarrier selects the barrier construction.
+	// WithBarrier selects the barrier construction for pool steps and
+	// team regions alike.
 	WithBarrier = machine.WithBarrier
 	// WithExec selects the machine's default execution backend — what the
 	// kernels' plain Run entry points dispatch through.
