@@ -149,13 +149,16 @@
 //	-validatejson F  parse a -json output file and verify its shape (used
 //	                 by CI's perf-smoke step); runs nothing else
 //
-// Instead of a timing figure, four analyses are available:
+// Instead of a timing figure, four analyses are available, combinable with
+// each other and with the sweeps above:
 //
 //	-opcount        the Section-6 validation: atomic operations per
 //	                concurrent-write step on one cell, as P_PRAM grows
-//	-kernelops      selection-protocol operation counts over full BFS and
-//	                CC runs (counting resolvers composed with the trace
-//	                execution backend); combinable with -json
+//	-kernelops      selection-protocol operation counts over full runs of
+//	                every kernel that claims cells, per Section-6 method
+//	                (the kernels' own claim sites feeding the metrics
+//	                shards under the trace execution backend); combinable
+//	                with -json
 //	-kerneltrace    structural cost (steps, barriers, CW rounds, per-worker
 //	                iteration split) of every kernel of the suite under the
 //	                trace backend; combinable with -json
@@ -244,7 +247,7 @@ func run(args []string) (err error) {
 		chaosSpec     = fs.String("chaos", "", "run the adversarial-schedule chaos matrix over every registered kernel and exit; value is seed=S1+S2+...,faults=F1+F2+... (faults: stall, jitter, steal-delay, storm, sticky-loser, all; empty value parts default to seeds 1+2+3 and all faults, so -chaos default works)")
 		runSelector   = fs.String("run", "", "run one kernel under one axis assignment, e.g. kernel=bfs,method=caslt,exec=team,threads=4; runs nothing else")
 		opcount       = fs.Bool("opcount", false, "run the Section-6 atomic-operation-count validation instead of a timing figure")
-		kernelops     = fs.Bool("kernelops", false, "count selection-protocol operations over full BFS/CC runs (trace backend) instead of timing")
+		kernelops     = fs.Bool("kernelops", false, "count selection-protocol operations over full runs of every claiming kernel (trace backend, metrics shards) instead of timing")
 		kerneltrace   = fs.Bool("kerneltrace", false, "report every kernel's structural cost (steps, barriers, rounds) under the trace backend")
 		metricsTable  = fs.Bool("metrics", false, "run every kernel on a metrics-enabled machine and report live contention (CAS attempts/wins/losses, pre-check skips, max RMWs per cell per round, busy/barrier time split) per listed timed exec mode")
 		metricsJSON   = fs.String("metricsjson", "", "write the -metrics contention rows alone as JSON to this file (implies -metrics)")
@@ -463,15 +466,6 @@ func run(args []string) (err error) {
 		return writeTrace()
 	}
 
-	if *opcount {
-		rows := bench.OpCountTable(cfg.Threads, []int{1000, 10000, 100000, 1000000})
-		return bench.FormatOpCounts(os.Stdout, cfg.Threads, rows)
-	}
-	if *simulations {
-		rows := bench.SimulationTable(cfg.Threads, cfg.Reps, []int{64, 256, 1024, 4096}, cfg.Seed)
-		return bench.FormatSimulations(os.Stdout, rows)
-	}
-
 	var jsonRows []bench.Row
 	printed := false
 	section := func() {
@@ -479,6 +473,22 @@ func run(args []string) (err error) {
 			fmt.Println()
 		}
 		printed = true
+	}
+
+	if *opcount {
+		rows := bench.OpCountTable(cfg.Threads, []int{1000, 10000, 100000, 1000000})
+		section()
+		if err := bench.FormatOpCounts(os.Stdout, cfg.Threads, rows); err != nil {
+			return err
+		}
+	}
+
+	if *simulations {
+		rows := bench.SimulationTable(cfg.Threads, cfg.Reps, []int{64, 256, 1024, 4096}, cfg.Seed)
+		section()
+		if err := bench.FormatSimulations(os.Stdout, rows); err != nil {
+			return err
+		}
 	}
 
 	if *kernelops {
@@ -611,7 +621,7 @@ func run(args []string) (err error) {
 	if *figure != 0 {
 		ids = []int{*figure}
 	} else if (*roundoverhead || *overhead || *edgebalance || *listrankSweep || *stealingSweep || *localitySweep ||
-		*kernelops || *kerneltrace || *metricsTable || *metricsJSON != "") && !figureSet {
+		*opcount || *simulations || *kernelops || *kerneltrace || *metricsTable || *metricsJSON != "") && !figureSet {
 		// The dedicated sweeps and analyses alone run only themselves; add
 		// -figure 0 explicitly to also sweep every figure.
 		ids = nil

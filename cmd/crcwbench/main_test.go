@@ -387,6 +387,29 @@ func TestRunOpCount(t *testing.T) {
 	}
 }
 
+// TestRunOpCountCombines: -opcount and -simulations are ordinary sections,
+// so combining them with another analysis prints every requested table and
+// still writes the -json rows of the others.
+func TestRunOpCountCombines(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "ops.json")
+	out, err := capture(t, func() error {
+		return run([]string{"-opcount", "-simulations", "-kernelops", "-tiny", "-threads", "2", "-json", jsonPath})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"== section-6", "== simulations", "== kernel-ops"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if _, err := capture(t, func() error {
+		return run([]string{"-validatejson", jsonPath})
+	}); err != nil {
+		t.Fatalf("-json after -opcount: %v", err)
+	}
+}
+
 // TestListGolden pins the -list introspection output. The listing is
 // generated from the kernel registry, so this is the contract that every
 // registered kernel and every axis it supports is user-addressable;

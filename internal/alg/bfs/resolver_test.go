@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crcwpram/internal/core/cw"
+	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
 
@@ -22,21 +23,32 @@ func TestRunResolverAllMethods(t *testing.T) {
 }
 
 func TestRunResolverCountsMatchRun(t *testing.T) {
-	m := testMachine(t, 4)
+	m := machine.New(4, machine.WithMetrics())
+	t.Cleanup(m.Close)
 	g := graph.ConnectedRandom(150, 500, 43)
 	k := NewKernel(m, g)
+	// Every vertex except the source is discovered by exactly one win, on
+	// the generic resolver path and on the specialized Run alike.
+	want := uint64(g.NumVertices() - 1)
 
-	var ops cw.OpCounts
-	r := cw.NewCountingResolver(cw.CASLT, g.NumVertices(), &ops)
 	k.Prepare(0)
-	res := k.RunResolver(r)
+	m.Metrics().Reset()
+	res := k.RunResolver(cw.NewResolver(cw.CASLT, g.NumVertices(), cw.Packed))
 	if err := Validate(g, 0, res, true); err != nil {
 		t.Fatal(err)
 	}
-	_, _, wins := ops.Snapshot()
-	// Every vertex except the source is discovered by exactly one win.
-	if want := uint64(g.NumVertices() - 1); wins != want {
-		t.Fatalf("wins = %d, want %d", wins, want)
+	if wins := m.Snapshot().CASWins; wins != want {
+		t.Fatalf("resolver wins = %d, want %d", wins, want)
+	}
+
+	k.Prepare(0)
+	m.Metrics().Reset()
+	res = k.RunExec(machine.ExecPool, cw.CASLT)
+	if err := Validate(g, 0, res, true); err != nil {
+		t.Fatal(err)
+	}
+	if wins := m.Snapshot().CASWins; wins != want {
+		t.Fatalf("Run wins = %d, want %d", wins, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crcwpram/internal/core/cw"
+	"crcwpram/internal/core/machine"
 	"crcwpram/internal/graph"
 )
 
@@ -22,18 +23,19 @@ func TestRunResolverAllMethods(t *testing.T) {
 }
 
 func TestRunResolverCounting(t *testing.T) {
-	m := testMachine(t, 4)
+	m := machine.New(4, machine.WithMetrics())
+	t.Cleanup(m.Close)
 	g := graph.ConnectedRandom(150, 500, 59)
 	k := NewKernel(m, g)
 
-	var ops cw.OpCounts
-	r := cw.NewCountingResolver(cw.Gatekeeper, g.NumVertices(), &ops)
 	k.Prepare()
-	res := k.RunResolver(r)
+	m.Metrics().Reset()
+	res := k.RunResolver(cw.NewResolver(cw.Gatekeeper, g.NumVertices(), cw.Packed))
 	if err := Validate(g, res); err != nil {
 		t.Fatal(err)
 	}
-	_, rmws, wins := ops.Snapshot()
+	s := m.Snapshot()
+	rmws, wins := s.CASAttempts, s.CASWins
 	// Connected graph: exactly n-1 hooks win across the whole run. The
 	// resolver reports a "win" whenever the gate admits a claimant, which
 	// can exceed committed hooks only via the root re-verification; hook

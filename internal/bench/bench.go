@@ -18,8 +18,9 @@
 //     sweep (edgebalance.go) and the list-ranking sweep (listrank.go) run
 //     uninstrumented kernels and report wall time.
 //   - COUNTING/OBSERVABILITY (never timings): the Section-6 op-count table
-//     (opcount.go) and the whole-kernel op counts (kernelops.go) run the
-//     test-only counting resolvers under the serial trace backend, and the
+//     (opcount.go) runs the real cw primitives through the metrics shards,
+//     the whole-kernel op counts (kernelops.go) replay the registered
+//     kernels under the serial trace backend on a metrics machine, and the
 //     live-contention sweep (metrics.go) runs instrumented kernels with the
 //     per-cell probe attached; all three deliberately report operation
 //     counts without ns/op, because their instrumentation perturbs timing.

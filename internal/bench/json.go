@@ -41,14 +41,12 @@ type Row struct {
 	Imbalance float64 `json:"imbalance,omitempty"` // WorkCrit / WorkIdeal
 
 	// Counting extras (benches "kernelops" and "kerneltrace"): produced by
-	// the trace execution backend composed with the cw layer's counting
-	// resolvers. These rows carry no timing (NsOp is zero by construction —
-	// a traced replay is not a measurement) but pin the per-run operation
-	// and synchronization totals, which are deterministic and therefore
-	// diffable across commits without noise.
-	Loads     uint64 `json:"loads,omitempty"`      // resolver plain loads
-	RMWs      uint64 `json:"rmws,omitempty"`       // resolver atomic RMWs
-	Wins      uint64 `json:"wins,omitempty"`       // resolver winning writes
+	// the trace execution backend, kernelops rows also carrying the claim
+	// counters below (CASAttempts..PrecheckSkips) from the metrics shards
+	// the replay feeds. These rows carry no timing (NsOp is zero by
+	// construction — a traced replay is not a measurement) but pin the
+	// per-run operation and synchronization totals, which are deterministic
+	// and therefore diffable across commits without noise.
 	Steps     uint64 `json:"steps,omitempty"`      // work-shared loops
 	Barriers  uint64 `json:"barriers,omitempty"`   // synchronization points
 	Singles   uint64 `json:"singles,omitempty"`    // serial sections
@@ -155,7 +153,8 @@ func WriteJSON(w io.Writer, rows []Row) error {
 // positive worker count and a positive measurement — except the counting
 // benches (kernelops, kerneltrace), whose rows are trace-produced counts
 // and must instead carry a zero timing, the trace exec and a non-empty
-// structure. Edge-balance rows additionally carry a consistent work model
+// structure. Every row keeps the claim ledger attempts = wins + losses.
+// Edge-balance rows additionally carry a consistent work model
 // (Total >= Crit >= Ideal > 0). CI's perf-smoke step runs this so a
 // malformed trajectory fails the build instead of polluting committed
 // baselines. It returns the number of rows checked.
@@ -191,6 +190,12 @@ func ValidateJSON(r io.Reader) (int, error) {
 		if row.Threads <= 0 {
 			return fail("non-positive threads %d", row.Threads)
 		}
+		// The claim ledger holds for every row carrying claim counters
+		// (kernelops and metrics) and trivially for the rest.
+		if row.CASAttempts != row.CASWins+row.CASLosses {
+			return fail("%s row attempts %d != wins %d + losses %d",
+				row.Bench, row.CASAttempts, row.CASWins, row.CASLosses)
+		}
 		if countingBench(row.Bench) {
 			// Counting rows are traced, not timed: no ns_op, but the
 			// structure must be there — every kernel has at least one
@@ -219,10 +224,6 @@ func ValidateJSON(r io.Reader) (int, error) {
 			}
 			if row.Kernel == "" {
 				return fail("metrics row missing kernel")
-			}
-			if row.CASAttempts != row.CASWins+row.CASLosses {
-				return fail("metrics row attempts %d != wins %d + losses %d",
-					row.CASAttempts, row.CASWins, row.CASLosses)
 			}
 			erew := false
 			if d, ok := kernel.Lookup(row.Kernel); ok {

@@ -10,23 +10,39 @@ import (
 	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/exec"
 	"crcwpram/internal/core/machine"
+	"crcwpram/internal/core/metrics"
 	"crcwpram/internal/graph"
 	"crcwpram/internal/kernel"
 )
 
-// KernelOpRow reports the selection-protocol memory operations one method
-// executed over one full kernel run, plus the structural shape of that run
-// as seen by the trace backend: the counting resolver attributes the
-// atomic traffic, the trace attributes the rounds and barriers it was
-// spread over. Both instruments observe the *same* deterministic replay.
+// KernelOpRow reports the claims one concurrent-write method executed over
+// one full kernel run, plus the structural shape of that run: the metrics
+// shards the kernel's own claim sites feed attribute the atomic traffic,
+// the trace backend attributes the rounds and barriers it was spread over.
+// Both instruments observe the *same* deterministic replay.
 type KernelOpRow struct {
 	Kernel   string
 	Method   cw.Method
-	Loads    uint64
-	RMWs     uint64
+	Attempts uint64 // executed atomic RMWs (wins + losses)
 	Wins     uint64
+	Losses   uint64
+	Skips    uint64 // claims the plain-load pre-check resolved
 	Steps    uint64 // work-shared loops in the traced run
 	Barriers uint64 // synchronization points in the traced run
+}
+
+// Loads returns the plain loads the row's claims executed.
+func (r KernelOpRow) Loads() uint64 { return claimLoads(r.Method, r.Skips, r.Attempts) }
+
+// claimLoads derives a method's plain loads from its claim counters: the
+// pre-checked methods (CAS-LT, the checked gatekeeper) load once per claim,
+// whether the claim was skipped or went on to an RMW; the plain gatekeeper
+// goes straight to its fetch-and-add and never loads.
+func claimLoads(m cw.Method, skips, attempts uint64) uint64 {
+	if m == cw.Gatekeeper {
+		return 0
+	}
+	return skips + attempts
 }
 
 // KernelTraceRow is one kernel's structural cost under the trace backend:
@@ -43,14 +59,12 @@ type KernelTraceRow struct {
 	IterTotal uint64 // summed iterations over all logical workers
 }
 
-// kernelOpMethods are the methods with counting resolvers.
+// kernelOpMethods are the methods whose operation mix the paper's Section 6
+// analyses.
 var kernelOpMethods = []cw.Method{cw.CASLT, cw.GatekeeperChecked, cw.Gatekeeper}
 
 // traceRow flattens a kernel's TraceStats into a KernelTraceRow.
 func traceRow(kernel string, st *exec.TraceStats) KernelTraceRow {
-	if st == nil {
-		panic("bench: kernel ran under the trace backend but recorded no trace")
-	}
 	return KernelTraceRow{
 		Kernel:    kernel,
 		P:         st.P,
@@ -61,6 +75,24 @@ func traceRow(kernel string, st *exec.TraceStats) KernelTraceRow {
 		IterMax:   st.MaxIters(),
 		IterTotal: st.TotalIters(),
 	}
+}
+
+// replay prepares and runs one kernel under the trace backend, validates
+// the result, and returns the run's trace with the machine's metrics
+// snapshot of the run alone (zero when m records no metrics).
+func replay(m *machine.Machine, d *kernel.Descriptor, inst kernel.Instance, method cw.Method) (*exec.TraceStats, metrics.Snapshot) {
+	s := kernel.Settings{Exec: machine.ExecTrace, Method: method}
+	inst.Prepare(s)
+	m.Metrics().Reset()
+	inst.Run(s)
+	if err := inst.Validate(); err != nil {
+		panic(fmt.Sprintf("bench: trace replay %s %v: %v", d.Name, method, err))
+	}
+	st := inst.Trace()
+	if st == nil {
+		panic("bench: " + d.Name + " ran under the trace backend but recorded no trace")
+	}
+	return st, m.Snapshot()
 }
 
 // countWorkload builds the standard counting-sweep workload for a
@@ -85,8 +117,8 @@ func countWorkload(d *kernel.Descriptor, vertices, edges int, seed int64) kernel
 }
 
 // countCells is the concurrent-write cell count a workload exposes to the
-// counting resolver and the contention probe: one per vertex or list
-// element, none for the EREW chain.
+// contention probe: one per vertex or list element, none for the EREW
+// chain.
 func countCells(d *kernel.Descriptor, w kernel.Workload) int {
 	switch d.Input {
 	case kernel.InputList:
@@ -98,42 +130,33 @@ func countCells(d *kernel.Descriptor, w kernel.Workload) int {
 	}
 }
 
-// KernelOpCounts runs every registered kernel exposing the generic-resolver
-// hook (BFS and CC in the base suite) over a generated random graph once
-// per counting-capable method under the trace backend and reports the
-// atomic traffic each method generated — the whole-kernel extension of the
-// single-cell Section 6 experiment — alongside the step/barrier structure
-// of the traced run. Results are validated before being reported.
+// KernelOpCounts replays every registered kernel that claims cells (all but
+// the ContentionNone and EREW classes) under the trace backend on a metrics
+// machine, once per supported Section-6 method, and reports the claims the
+// kernel's own Run executed — the whole-kernel extension of the single-cell
+// Section 6 experiment — alongside the step/barrier structure of the
+// traced run. Results are validated before being reported.
 func KernelOpCounts(reg *kernel.Registry, threads, vertices, edges int, seed int64) []KernelOpRow {
-	m := machine.New(threads)
+	m := machine.New(threads, machine.WithExec(machine.ExecTrace), machine.WithMetrics())
 	defer m.Close()
 	var rows []KernelOpRow
 	for _, d := range reg.All() {
-		w := countWorkload(d, vertices, edges, seed)
-		inst := d.New(m, w)
-		rr, ok := inst.(kernel.ResolverRunner)
-		if !ok {
+		if d.Contention == kernel.ContentionNone || d.Contention == kernel.ContentionEREW {
 			continue
 		}
+		var inst kernel.Instance
 		for _, method := range kernelOpMethods {
 			if !d.SupportsMethod(method) {
 				continue
 			}
-			var ops cw.OpCounts
-			r := cw.NewCountingResolver(method, countCells(d, w), &ops)
-			inst.Prepare(kernel.Settings{Exec: machine.ExecTrace, Method: method})
-			rr.RunResolver(machine.ExecTrace, r)
-			if err := inst.Validate(); err != nil {
-				panic(fmt.Sprintf("bench: kernelops %s %v: %v", d.Name, method, err))
+			if inst == nil {
+				inst = d.New(m, countWorkload(d, vertices, edges, seed))
 			}
-			loads, rmws, wins := ops.Snapshot()
-			st := inst.Trace()
-			if st == nil {
-				panic("bench: kernelops " + d.Name + " recorded no trace")
-			}
+			st, snap := replay(m, d, inst, method)
 			rows = append(rows, KernelOpRow{
 				Kernel: d.Name, Method: method,
-				Loads: loads, RMWs: rmws, Wins: wins,
+				Attempts: snap.CASAttempts, Wins: snap.CASWins,
+				Losses: snap.CASLosses, Skips: snap.PrecheckSkips,
 				Steps: uint64(st.Steps), Barriers: uint64(st.Barriers),
 			})
 		}
@@ -151,17 +174,12 @@ func KernelTraceCounts(reg *kernel.Registry, threads, vertices, edges int, seed 
 	var rows []KernelTraceRow
 	for _, d := range reg.All() {
 		w := countWorkload(d, vertices, edges, seed)
-		inst := d.New(m, w)
-		s := kernel.Settings{Exec: machine.ExecTrace, Method: cw.CASLT}
-		if len(d.Methods) > 0 && !d.SupportsMethod(cw.CASLT) {
-			s.Method = d.Methods[0]
+		method := cw.CASLT
+		if len(d.Methods) > 0 && !d.SupportsMethod(method) {
+			method = d.Methods[0]
 		}
-		inst.Prepare(s)
-		inst.Run(s)
-		if err := inst.Validate(); err != nil {
-			panic(fmt.Sprintf("bench: kerneltrace %s: %v", d.Name, err))
-		}
-		rows = append(rows, traceRow(d.Name, inst.Trace()))
+		st, _ := replay(m, d, d.New(m, w), method)
+		rows = append(rows, traceRow(d.Name, st))
 	}
 	return rows
 }
@@ -176,8 +194,8 @@ func FormatKernelOps(w io.Writer, vertices, edges int, rows []KernelOpRow) error
 		out = append(out, []string{
 			r.Kernel,
 			r.Method.String(),
-			strconv.FormatUint(r.Loads, 10),
-			strconv.FormatUint(r.RMWs, 10),
+			strconv.FormatUint(r.Loads(), 10),
+			strconv.FormatUint(r.Attempts, 10),
 			strconv.FormatUint(r.Wins, 10),
 			strconv.FormatUint(r.Steps, 10),
 			strconv.FormatUint(r.Barriers, 10),
@@ -187,6 +205,7 @@ func FormatKernelOps(w io.Writer, vertices, edges int, rows []KernelOpRow) error
 	b.WriteString("\nwins are identical across methods (same algorithm, one winner per\n" +
 		"target per round); the gatekeeper turns every attempt into an atomic RMW,\n" +
 		"the pre-checked variants turn almost all of them into plain loads.\n" +
+		"counts come from the metrics shards each kernel's own claim sites feed;\n" +
 		"steps/barriers come from the trace backend's deterministic replay:\n" +
 		"the synchronization structure every method pays for identically.\n")
 	_, err := io.WriteString(w, b.String())
@@ -221,21 +240,24 @@ func FormatKernelTraces(w io.Writer, vertices, edges int, rows []KernelTraceRow)
 
 // KernelOpsJSONRows converts the op-count rows to the machine-readable
 // trajectory rows. They carry counts rather than a timing, so NsOp stays
-// zero and the exec field records the trace backend that produced them.
+// zero and the exec field records the trace backend that produced them;
+// the claim counts use the metrics rows' fields, and loads follow from
+// skips and attempts by method (KernelOpRow.Loads).
 func KernelOpsJSONRows(rows []KernelOpRow, threads int) []Row {
 	out := make([]Row, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, Row{
-			Bench:    "kernelops",
-			Kernel:   r.Kernel,
-			Method:   r.Method.String(),
-			Exec:     machine.ExecTrace.String(),
-			Threads:  threads,
-			Loads:    r.Loads,
-			RMWs:     r.RMWs,
-			Wins:     r.Wins,
-			Steps:    r.Steps,
-			Barriers: r.Barriers,
+			Bench:         "kernelops",
+			Kernel:        r.Kernel,
+			Method:        r.Method.String(),
+			Exec:          machine.ExecTrace.String(),
+			Threads:       threads,
+			Steps:         r.Steps,
+			Barriers:      r.Barriers,
+			CASAttempts:   r.Attempts,
+			CASWins:       r.Wins,
+			CASLosses:     r.Losses,
+			PrecheckSkips: r.Skips,
 		})
 	}
 	return out

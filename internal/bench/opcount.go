@@ -26,31 +26,31 @@ type OpCountRow struct {
 // the gatekeeper executes Θ(P_PRAM) atomic read-modify-writes (full
 // serialization), the checked gatekeeper and CAS-LT replace almost all of
 // them with plain loads, and CAS-LT's RMW count stays bounded by the
-// physical concurrency regardless of P_PRAM. threads is P_Phys.
+// physical concurrency regardless of P_PRAM. threads is P_Phys. Each step
+// runs the real cw primitive through the metrics shard of the worker that
+// executes it, the same recording path the kernels' claim sites use.
 func OpCountTable(threads int, pprmSweep []int) []OpCountRow {
-	m := machine.New(threads)
+	m := machine.New(threads, machine.WithMetrics())
 	defer m.Close()
+	rec := m.Metrics()
+	// step runs one concurrent-write step of pprm writers through claim and
+	// returns its (loads, RMWs, wins).
+	step := func(pprm int, method cw.Method, claim func() cw.Outcome) [3]uint64 {
+		rec.Reset()
+		m.ParallelForWorker(pprm, func(_, w int) { rec.Shard(w).Claim(0, 1, claim()) })
+		s := m.Snapshot()
+		return [3]uint64{claimLoads(method, s.PrecheckSkips, s.CASAttempts), s.CASAttempts, s.CASWins}
+	}
 	rows := make([]OpCountRow, 0, len(pprmSweep))
 	for _, pprm := range pprmSweep {
-		var row OpCountRow
-		row.PPRAM = pprm
-
-		var ops cw.OpCounts
-		cell := cw.NewCountingCell(&ops)
-		m.ParallelFor(pprm, func(int) { cell.TryClaim(1) })
-		row.CASLT[0], row.CASLT[1], row.CASLT[2] = ops.Snapshot()
-
-		ops.Reset()
-		gate := cw.NewCountingGate(&ops)
-		m.ParallelFor(pprm, func(int) { gate.TryEnterChecked() })
-		row.GateChecked[0], row.GateChecked[1], row.GateChecked[2] = ops.Snapshot()
-
-		ops.Reset()
-		gate = cw.NewCountingGate(&ops)
-		m.ParallelFor(pprm, func(int) { gate.TryEnter() })
-		row.Gate[0], row.Gate[1], row.Gate[2] = ops.Snapshot()
-
-		rows = append(rows, row)
+		var cell cw.Cell
+		var checked, plain cw.Gate
+		rows = append(rows, OpCountRow{
+			PPRAM:       pprm,
+			CASLT:       step(pprm, cw.CASLT, func() cw.Outcome { return cell.TryClaimOutcome(1) }),
+			GateChecked: step(pprm, cw.GatekeeperChecked, checked.TryEnterCheckedOutcome),
+			Gate:        step(pprm, cw.Gatekeeper, plain.TryEnterOutcome),
+		})
 	}
 	return rows
 }

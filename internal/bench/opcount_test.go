@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/kernel"
 )
 
@@ -57,29 +58,76 @@ func TestOpCountTableValidatesSectionSix(t *testing.T) {
 
 func TestKernelOpCounts(t *testing.T) {
 	rows := KernelOpCounts(kernel.Default, 2, 300, 1200, 7)
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6 (2 kernels x 3 methods)", len(rows))
-	}
 	byKey := map[string]KernelOpRow{}
 	for _, r := range rows {
 		byKey[r.Kernel+"/"+r.Method.String()] = r
 	}
-	for _, kernel := range []string{"bfs", "cc"} {
-		caslt := byKey[kernel+"/caslt"]
-		gate := byKey[kernel+"/gatekeeper"]
-		checked := byKey[kernel+"/gatekeeper-checked"]
-		// Same algorithm, same winner structure.
-		if caslt.Wins == 0 {
-			t.Fatalf("%s: no wins recorded", kernel)
+	// Every kernel that claims cells appears once per counting method it
+	// supports, and nothing else does.
+	want := 0
+	for _, d := range kernel.All() {
+		if d.Contention == kernel.ContentionNone || d.Contention == kernel.ContentionEREW {
+			continue
 		}
-		// The plain gatekeeper never uses loads and pays an RMW per
-		// attempt; the pre-checked methods can only have fewer RMWs.
-		if gate.Loads != 0 {
-			t.Fatalf("%s: plain gatekeeper recorded %d loads", kernel, gate.Loads)
+		for _, method := range kernelOpMethods {
+			if !d.SupportsMethod(method) {
+				continue
+			}
+			want++
+			if _, ok := byKey[d.Name+"/"+method.String()]; !ok {
+				t.Fatalf("no kernelops row for %s/%v", d.Name, method)
+			}
 		}
-		if caslt.RMWs > gate.RMWs || checked.RMWs > gate.RMWs {
-			t.Fatalf("%s: pre-checked methods exceeded plain gatekeeper RMWs (%d/%d vs %d)",
-				kernel, caslt.RMWs, checked.RMWs, gate.RMWs)
+	}
+	if len(rows) != want || want == 0 {
+		t.Fatalf("%d rows, want %d", len(rows), want)
+	}
+	for _, r := range rows {
+		if r.Wins == 0 {
+			t.Fatalf("%s/%v: no wins recorded", r.Kernel, r.Method)
+		}
+		if r.Attempts != r.Wins+r.Losses {
+			t.Fatalf("%s/%v: attempts %d != wins %d + losses %d", r.Kernel, r.Method, r.Attempts, r.Wins, r.Losses)
+		}
+		caslt, ok := byKey[r.Kernel+"/caslt"]
+		if !ok {
+			continue
+		}
+		// Same algorithm, same winner structure, whatever the method.
+		if r.Wins != caslt.Wins {
+			t.Fatalf("%s: %v wins %d, caslt wins %d", r.Kernel, r.Method, r.Wins, caslt.Wins)
+		}
+		// The gatekeeper turns every claim into an RMW; CAS-LT pre-checks
+		// every claim with one load, so the two counts coincide.
+		if r.Method == cw.Gatekeeper && r.Attempts != caslt.Loads() {
+			t.Fatalf("%s: gatekeeper RMWs %d != caslt loads %d", r.Kernel, r.Attempts, caslt.Loads())
+		}
+	}
+	for _, r := range rows {
+		// The serial replay never races two claimants past the pre-check.
+		if r.Method == cw.CASLT && r.Losses != 0 {
+			t.Fatalf("%s: caslt lost %d claims under the serial replay", r.Kernel, r.Losses)
+		}
+	}
+	// maxfind is the Section-6 contrast in kernel form: Θ(N²) gatekeeper
+	// RMWs against O(N) for CAS-LT.
+	if gate, caslt := byKey["maxfind/gatekeeper"], byKey["maxfind/caslt"]; gate.Attempts <= 100*caslt.Attempts {
+		t.Fatalf("maxfind: gatekeeper RMWs %d not far above caslt RMWs %d", gate.Attempts, caslt.Attempts)
+	}
+
+	// The JSON rows carry the metrics rows' claim ledger, and -validatejson
+	// holds them to it.
+	jrows := KernelOpsJSONRows(rows, 2)
+	for _, broken := range []bool{false, true} {
+		if broken {
+			jrows[0].CASLosses++
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, jrows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateJSON(&buf); (err != nil) != broken {
+			t.Fatalf("ValidateJSON on kernelops rows (broken ledger %v): %v", broken, err)
 		}
 	}
 

@@ -15,8 +15,9 @@ import "sync/atomic"
 // a winner exists, serializing all attempts on the cell's cache line.
 //
 // Gate is a PRODUCTION path: the gatekeeper and gatekeeper-checked kernel
-// variants and resolvers run through it in timed benchmarks. The counting
-// twin in counting.go (CountingGate) is test/analysis-only.
+// variants and resolvers run through it in timed benchmarks, and the
+// operation counts come from the same calls (their Outcome forms recorded
+// into internal/core/metrics shards).
 type Gate struct {
 	n atomic.Uint32
 }

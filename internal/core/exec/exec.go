@@ -103,9 +103,11 @@ type Ctx interface {
 	// Kernels add their machine-lifetime base offset themselves.
 	NextRound() uint32
 	// Metrics returns the machine's live-metrics recorder, or nil when
-	// metrics are off (always nil under trace: the serial replay has its
-	// own counters). Kernels thread it unconditionally — a nil recorder's
-	// Shard is nil, and a nil shard's methods are single-branch no-ops.
+	// metrics are off. Under trace the serial replay feeds it too: claims
+	// land on the logical worker's shard, so a traced run counts exactly
+	// the claims the real kernel executes. Kernels thread it
+	// unconditionally — a nil recorder's Shard is nil, and a nil shard's
+	// methods are single-branch no-ops.
 	Metrics() *metrics.Recorder
 }
 
@@ -181,7 +183,7 @@ func Run(m *machine.Machine, e machine.Exec, body func(Ctx)) *TraceStats {
 		return nil
 	case machine.ExecTrace:
 		st := &TraceStats{P: m.P(), Iters: make([]uint64, m.P())}
-		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, stats: st})
+		body(&traceCtx{p: m.P(), chunk: m.Chunk(), flag: flag, stats: st, rec: m.Metrics()})
 		return st
 	default:
 		body(wrap(&poolCtx{m: m, flag: flag, rec: m.Metrics()}))

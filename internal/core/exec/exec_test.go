@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crcwpram/internal/core/cw"
 	"crcwpram/internal/core/machine"
 )
 
@@ -121,6 +122,41 @@ func TestTraceCounts(t *testing.T) {
 	}
 	if st.MaxIters() != 8 {
 		t.Errorf("MaxIters = %d, want 8", st.MaxIters())
+	}
+}
+
+// TestTraceMetrics: the trace replay hands kernels the machine's recorder
+// (nil without WithMetrics), so claims land on the logical worker's shard,
+// and each NextRound credits one round — as pool and team do.
+func TestTraceMetrics(t *testing.T) {
+	bare := machine.New(2)
+	defer bare.Close()
+	Run(bare, machine.ExecTrace, func(ctx Ctx) {
+		if ctx.Metrics() != nil {
+			t.Error("trace Metrics() non-nil on a machine without metrics")
+		}
+		ctx.NextRound() // a nil recorder absorbs the credit
+	})
+
+	m := machine.New(2, machine.WithMetrics())
+	defer m.Close()
+	Run(m, machine.ExecTrace, func(ctx Ctx) {
+		if ctx.Metrics() != m.Metrics() {
+			t.Error("trace Metrics() is not the machine's recorder")
+		}
+		for k := 0; k < 3; k++ {
+			round := ctx.NextRound()
+			ctx.ForWorker(4, func(i, w int) {
+				ctx.Metrics().Shard(w).Claim(i, round, cw.OutcomeWin)
+			})
+		}
+	})
+	s := m.Snapshot()
+	if s.Rounds != 3 {
+		t.Errorf("Rounds = %d, want 3", s.Rounds)
+	}
+	if s.CASWins != 12 || !reflect.DeepEqual(s.WorkerAttempts, []uint64{6, 6}) {
+		t.Errorf("wins = %d, per-worker attempts = %v, want 12 and [6 6]", s.CASWins, s.WorkerAttempts)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // TraceStats is the structural record of one traced kernel execution:
 // how many work-shared steps and synchronization points the kernel's
 // round structure costs, and how the iteration load splits across the
-// logical workers. CAS-attempt totals are not counted here — they live in
-// the cw layer's counting resolvers, which compose with the trace backend
-// (see internal/bench/kernelops.go).
+// logical workers. Claim totals are not counted here: the replay feeds
+// the machine's metrics recorder when one is attached (machine.WithMetrics),
+// the same shards the timed backends feed (see internal/bench/kernelops.go).
 type TraceStats struct {
 	// P is the logical worker count the replay partitioned loops for.
 	P int
@@ -66,6 +66,7 @@ type traceCtx struct {
 	chunk int // machine chunk size, bounding the stealing chunk geometry
 	flag  *Flag
 	stats *TraceStats
+	rec   *metrics.Recorder
 	round uint32
 }
 
@@ -168,9 +169,11 @@ func (c *traceCtx) Flag() *Flag { return c.flag }
 func (c *traceCtx) NextRound() uint32 {
 	c.round++
 	c.stats.Rounds = c.round
+	c.rec.AddRounds(1)
 	return c.round
 }
 
-// Metrics is always nil under trace: the serial replay records structure
-// in TraceStats, and live timing of a serial replay would be meaningless.
-func (c *traceCtx) Metrics() *metrics.Recorder { return nil }
+// Metrics is the machine's recorder (nil without WithMetrics). The replay
+// credits claims and rounds to it but no time: a serial replay's wall
+// clock is not a measurement.
+func (c *traceCtx) Metrics() *metrics.Recorder { return c.rec }

@@ -1,12 +1,12 @@
-// Package metrics is the live-contention observability layer: per-worker
-// sharded counters that the pool and team execution backends and the
-// instrumented kernels feed while running at full speed, so the paper's
-// central contention claims — CAS-LT executes at most P read-modify-writes
-// per cell per round, late arrivals fail a plain-load pre-check — can be
-// checked on real parallel hardware instead of by serial trace replay
-// (internal/core/exec/trace.go) or by the atomic counting twins
-// (internal/core/cw/counting.go), both of which distort or avoid the very
-// concurrency being measured.
+// Package metrics is the repository's one claim-counting path: per-worker
+// sharded counters that the instrumented kernels' claim sites feed under
+// every execution backend. Under pool and team they run at full speed, so
+// the paper's central contention claims — CAS-LT executes at most P
+// read-modify-writes per cell per round, late arrivals fail a plain-load
+// pre-check — can be checked on real parallel hardware; under the serial
+// trace backend (internal/core/exec/trace.go) the same shards give the
+// deterministic per-method operation counts of a whole kernel run
+// (internal/bench/kernelops.go), with no concurrency to measure.
 //
 // # Design
 //

@@ -170,3 +170,48 @@ func TestProbeConcurrent(t *testing.T) {
 		t.Fatalf("concurrent probe max = %d, want %d", got, p*per)
 	}
 }
+
+// TestClaimSectionSixBounds is the paper's Section 6 claim in miniature,
+// counted through the shards the kernels record into: with W concurrent
+// writers on one cell, CAS-LT's executed RMWs are bounded by the writers
+// that race past the pre-check before a winner exists (at most W, typically
+// far fewer) and the rest are skips, while the gatekeeper executes exactly
+// W RMWs — always.
+func TestClaimSectionSixBounds(t *testing.T) {
+	const writers = 64
+	cellRec, gateRec := NewRecorder(writers), NewRecorder(writers)
+	var cell cw.Cell
+	var gate cw.Gate
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(2 * writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			defer done.Done()
+			start.Wait()
+			cellRec.Shard(w).Claim(0, 1, cell.TryClaimOutcome(1))
+		}()
+		go func() {
+			defer done.Done()
+			start.Wait()
+			gateRec.Shard(w).Claim(0, 1, gate.TryEnterOutcome())
+		}()
+	}
+	start.Done()
+	done.Wait()
+
+	g := gateRec.Snapshot()
+	if g.CASAttempts != writers || g.PrecheckSkips != 0 {
+		t.Fatalf("gatekeeper RMWs = %d, skips = %d, want exactly %d RMWs", g.CASAttempts, g.PrecheckSkips, writers)
+	}
+	c := cellRec.Snapshot()
+	if c.CASAttempts+c.PrecheckSkips != writers {
+		t.Fatalf("caslt attempts %d + skips %d != %d claims", c.CASAttempts, c.PrecheckSkips, writers)
+	}
+	if c.CASWins != 1 || g.CASWins != 1 {
+		t.Fatalf("wins caslt=%d gatekeeper=%d, want 1 each", c.CASWins, g.CASWins)
+	}
+	if c.CASAttempts < 1 || c.CASAttempts > g.CASAttempts {
+		t.Fatalf("caslt RMWs = %d, want in [1, %d]", c.CASAttempts, g.CASAttempts)
+	}
+}

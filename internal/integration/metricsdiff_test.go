@@ -1,5 +1,5 @@
 // The metrics differential: every kernel of the suite runs the same
-// fixed-seed input twice per timed backend — once on a plain machine, once
+// fixed-seed input twice per backend — once on a plain machine, once
 // on a machine.WithMetrics machine with the per-cell probe attached — and
 // the deterministic projection of each result must be byte-identical. This
 // pins the observability layer's core contract: recording changes what you
@@ -31,11 +31,6 @@ import (
 	"crcwpram/internal/graph"
 )
 
-// timedExecs are the backends whose workers actually record: the trace
-// backend's Ctx.Metrics is nil by design (its serial replay has no
-// contention to observe), so a metrics differential there is vacuous.
-var timedExecs = []machine.Exec{machine.ExecPool, machine.ExecTeam}
-
 // metricsMachine is testMachine with recording enabled and the probe
 // attached over n cells.
 func metricsMachine(t *testing.T, p, n int) *machine.Machine {
@@ -46,14 +41,17 @@ func metricsMachine(t *testing.T, p, n int) *machine.Machine {
 	return m
 }
 
-// runDifferential executes run on both machines under every timed backend
-// and compares projections, then sanity-checks the instrumented machine's
-// snapshot with check (which receives the backend for error messages).
+// runDifferential executes run on both machines under every backend —
+// trace included, whose serial replay feeds the same shards — and compares
+// projections, then sanity-checks the instrumented machine's snapshot with
+// check (which receives the backend for error messages). The checks read
+// only the claim ledger, rounds and the probe, never the time split, so
+// they hold under trace too.
 func runDifferential(t *testing.T, tag string, plain, inst *machine.Machine,
 	run func(m *machine.Machine, e machine.Exec) []byte,
 	check func(e machine.Exec, s metrics.Snapshot) error) {
 	t.Helper()
-	for _, e := range timedExecs {
+	for _, e := range matrixExecs {
 		want := run(plain, e)
 		inst.Metrics().Reset()
 		got := run(inst, e)

@@ -132,9 +132,10 @@ type Instance interface {
 	Trace() *exec.TraceStats
 }
 
-// ResolverRunner is the optional counting-resolver hook: kernels whose
-// selection protocol can be swapped for an instrumented cw.Resolver
-// implement it, and the op-count bench discovers them by assertion.
+// ResolverRunner is the optional generic-resolver hook: kernels whose
+// selection protocol can be swapped for an arbitrary cw.Resolver implement
+// it, and DifferentialChaos discovers them by assertion to drive its
+// sticky-loser leg (a resolver that re-drives every lost claim).
 type ResolverRunner interface {
 	RunResolver(e machine.Exec, r cw.Resolver) Outcome
 }
